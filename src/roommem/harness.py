@@ -27,7 +27,7 @@ from .policies import (
 from .seeding import ROLE_POLICY, ROLE_TEST, derive_rng, derive_seed
 from .trainer import TrainConfig, train
 
-__all__ = ["agent_capacities", "run_cell", "CellResult", "sweep",
+__all__ = ["agent_capacities", "run_cell", "CellResult", "pool_size", "sweep",
            "write_results_csv", "write_summary_csv", "atomic_write_text"]
 
 _SPLIT_AGENTS = ("random", "rl-scratch", "rl-pretrained")
@@ -110,6 +110,12 @@ def _cell_task(args) -> CellResult:
         return CellResult(agent, capacity, seed, (), error=f"{type(exc).__name__}: {exc}")
 
 
+def pool_size(requested: int, n_tasks: int, n_cpus: int) -> int:
+    """Worker processes worth starting: more than one per task or per
+    usable CPU only adds start-up cost and contention."""
+    return max(1, min(requested, n_tasks, n_cpus))
+
+
 def sweep(config: ExperimentConfig, out_dir: str | None = None,
           workers: int = 1) -> tuple[list[CellResult], bool]:
     """Run the full grid and write results.csv + summary.csv.  Returns the
@@ -119,6 +125,7 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None,
              for agent in config.agents
              for capacity in config.capacities
              for seed in config.seeds]
+    workers = pool_size(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_task, tasks))

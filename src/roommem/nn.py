@@ -6,14 +6,16 @@ that returns a cache and a backward that consumes it.  Everything runs on
 float64 by default; float32 is available for speed and halves memory.
 
 LSTM convention: gate order (input, forget, cell, output), single bias per
-layer, hidden and cell state start at zero.  Batched sequences are padded to
-a common length and masked, so a sample's hidden state freezes once its
-sequence ends; an empty sequence yields the zero vector without touching any
-weight.
+layer, hidden and cell state start at zero.  A batch of sequences is packed
+time-major, longest first, so each step runs only the samples still inside
+their sequence and a sample's last hidden state is read at its own last
+step; an empty sequence yields the zero vector without touching any weight.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "GradientError",
     "ParamTensor",
     "LstmLayer",
+    "Packing",
     "sigmoid",
     "embedding_lookup",
     "embedding_backward",
@@ -71,8 +74,8 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype, name: str)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)) in its tanh form, which cannot overflow."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 # -- embedding ---------------------------------------------------------------
@@ -161,117 +164,216 @@ class LstmLayer:
         return [self.w_x, self.w_h, self.b]
 
 
+class Packing:
+    """Time-major packed layout of a batch of variable-length sequences.
+
+    Samples are ordered by length, longest first (stable), so the samples
+    still running at step t are a prefix of that order, ``bs[t]`` long.
+    Packed row ``off[t] + k`` holds step t of the k-th sample in that order;
+    ``t_idx``/``b_idx`` map each packed row back to the padded (T, B)
+    position, and ``last`` gives each sample's last row.  ``steps`` is the
+    padded length T, at least the longest sequence.  Built once per batch
+    and shared by every layer, forward and backward.
+    """
+
+    __slots__ = ("batch", "steps", "bs", "off", "t_idx", "b_idx", "last")
+
+    def __init__(self, lengths, steps: int | None = None):
+        lengths = [int(n) for n in lengths]
+        if min(lengths, default=0) < 0:
+            raise ValueError("sequence lengths must be non-negative")
+        B = len(lengths)
+        # per-sample bookkeeping in Python ints: at the B=1 of a greedy
+        # decision that is cheaper than numpy calls
+        order = sorted(range(B), key=lengths.__getitem__, reverse=True)  # stable
+        longest = lengths[order[0]] if B else 0
+        if steps is not None and steps < longest:
+            raise ValueError(f"{steps} padded steps hold no sequence of length {longest}")
+        ends = [0] * (longest + 1)
+        for n in lengths:
+            ends[n] += 1
+        self.bs = list(accumulate(reversed(ends[1:])))[::-1]
+        self.off = list(accumulate(self.bs, initial=0))
+        rows = self.off[-1]
+        step_start = np.repeat(np.array(self.off[:-1], dtype=np.int64), self.bs)
+        self.t_idx = np.repeat(np.arange(longest), self.bs)
+        self.b_idx = np.array(order, dtype=np.int64)[np.arange(rows) - step_start]
+        # packed row of each sample's last step, -1 for an empty sample
+        last = [-1] * B
+        for k, j in enumerate(order[:self.bs[0] if self.bs else 0]):
+            last[j] = self.off[lengths[j] - 1] + k
+        self.last = np.array(last, dtype=np.int64)
+        self.batch = B
+        self.steps = longest if steps is None else steps
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "Packing":
+        """Packing of a (T, B, 1) mask that is 1.0 for t < length and 0.0
+        after."""
+        live = np.asarray(mask).reshape(mask.shape[0], -1) > 0
+        lengths = live.sum(axis=0)
+        if not np.array_equal(live, np.arange(live.shape[0])[:, None] < lengths):
+            raise ValueError("mask must be 1 for a prefix of each sequence and 0 after")
+        return cls(lengths, steps=live.shape[0])
+
+    @property
+    def rows(self) -> int:
+        return self.off[-1]
+
+
+def _packing(packing) -> Packing:
+    return packing if isinstance(packing, Packing) else Packing.from_mask(packing)
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_layout(h: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(order, scale) that turn the (i, f, g, o) gate rows of a layer into
+    the kernel's (i, f, o, g): the three sigmoid gates become one block, and
+    halving their rows lets one tanh give sigmoid(z) = tanh(z/2)/2 + 1/2."""
+    order = np.r_[0:2 * h, 3 * h:4 * h, 2 * h:3 * h]
+    scale = np.ones((4 * h, 1), dtype=dtype)
+    scale[:3 * h] = 0.5
+    order.setflags(write=False)
+    scale.setflags(write=False)
+    return order, scale
+
+
+def _fused(values: np.ndarray, order: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """A weight or bias in the kernel's gate layout, as one new array."""
+    out = values[order]
+    out *= scale
+    return out
+
+
 class _LayerCache:
-    __slots__ = ("inp", "i", "f", "g", "o", "cc", "tc", "h_prev", "c_prev", "out")
+    __slots__ = ("inp", "gates", "c", "out")
 
-    def __init__(self, T, B, h, d_in, dtype):
-        self.inp = None                                # (T, B, d_in), set by caller
-        self.i = np.empty((T, B, h), dtype=dtype)
-        self.f = np.empty((T, B, h), dtype=dtype)
-        self.g = np.empty((T, B, h), dtype=dtype)
-        self.o = np.empty((T, B, h), dtype=dtype)
-        self.cc = np.empty((T, B, h), dtype=dtype)     # candidate cell state
-        self.tc = np.empty((T, B, h), dtype=dtype)     # tanh(candidate cell)
-        self.h_prev = np.empty((T, B, h), dtype=dtype)
-        self.c_prev = np.empty((T, B, h), dtype=dtype)
-        self.out = None                                # (T, B, h) masked outputs
+    def __init__(self, inp, gates, c, out):
+        self.inp = inp        # (N, d_in) packed input rows
+        self.gates = gates    # (N, 4h) activations, gate order (i, f, o, g)
+        self.c = c            # (N, h) cell state after each step
+        self.out = out        # (N, h) hidden state after each step
 
 
-def lstm_batch_forward(X: np.ndarray, mask: np.ndarray, layers: list[LstmLayer], need_cache: bool = False):
+def lstm_batch_forward(X: np.ndarray, packing, layers: list[LstmLayer], need_cache: bool = False):
     """Run stacked LSTM layers over a padded batch.
 
-    X: (T, B, d_in); mask: (T, B, 1) with 1.0 while t is inside the sample's
-    sequence.  Returns (h_last (B, h), caches).  With T == 0 the result is
-    all zeros and the cache is empty.
+    X: (T, B, d_in).  ``packing`` gives each sample's sequence length: a
+    :class:`Packing`, or a (T, B, 1) mask that is 1.0 while t is inside the
+    sample's sequence.  Steps past a sample's length are never computed and
+    their X rows never read.  Returns (h_last (B, h), caches); an empty
+    sample's h_last is zero.  With no step to run the cache is empty.
+
+    All four gates share one ``tanh`` over the 4h block (see
+    :func:`_gate_layout`); the cache keeps the gates in that layout.
     """
+    pack = _packing(packing)
     T, B, _ = X.shape
     dtype = layers[0].w_x.values.dtype
-    if T == 0:
-        return np.zeros((B, layers[-1].hidden), dtype=dtype), []
+    h_last = np.zeros((B, layers[-1].hidden), dtype=dtype)
+    if pack.batch != B or pack.steps != T:
+        raise ValueError(f"packing describes a ({pack.steps}, {pack.batch}) batch, X is ({T}, {B})")
+    if not pack.bs:
+        return h_last, []
     caches: list[_LayerCache] = []
-    inp = X
-    h_cur = None
+    half = dtype.type(0.5)   # a typed scalar skips a conversion per call
+    inp = X[pack.t_idx, pack.b_idx]
     for layer in layers:
         h = layer.hidden
-        xz = inp.reshape(T * B, -1) @ layer.w_x.values.T
-        xz = xz.reshape(T, B, 4 * h) + layer.b.values
-        cache = _LayerCache(T, B, h, layer.d_in, dtype) if need_cache else None
-        out = np.empty((T, B, h), dtype=dtype)
-        h_cur = np.zeros((B, h), dtype=dtype)
-        c_cur = np.zeros((B, h), dtype=dtype)
-        w_h_t = layer.w_h.values.T
-        for t in range(T):
-            z = xz[t] + h_cur @ w_h_t
-            i = sigmoid(z[:, :h])
-            f = sigmoid(z[:, h:2 * h])
-            g = np.tanh(z[:, 2 * h:3 * h])
-            o = sigmoid(z[:, 3 * h:])
-            cc = f * c_cur + i * g
-            tc = np.tanh(cc)
-            hc = o * tc
-            m = mask[t]
-            if cache is not None:
-                cache.i[t] = i
-                cache.f[t] = f
-                cache.g[t] = g
-                cache.o[t] = o
-                cache.cc[t] = cc
-                cache.tc[t] = tc
-                cache.h_prev[t] = h_cur
-                cache.c_prev[t] = c_cur
-            h_cur = m * hc + (1.0 - m) * h_cur
-            c_cur = m * cc + (1.0 - m) * c_cur
-            out[t] = h_cur
-        if cache is not None:
-            cache.inp = inp
-            cache.out = out
-            caches.append(cache)
+        order, scale = _gate_layout(h, dtype)
+        w_h_t = _fused(layer.w_h.values, order, scale).T
+        gates = inp @ _fused(layer.w_x.values, order, scale).T
+        gates += _fused(layer.b.values, order, scale[:, 0])
+        c = np.empty((pack.rows, h), dtype=dtype)
+        out = np.empty((pack.rows, h), dtype=dtype)
+        for t, b in enumerate(pack.bs):
+            r = slice(pack.off[t], pack.off[t] + b)
+            z = gates[r]
+            if t:
+                p = slice(pack.off[t - 1], pack.off[t - 1] + b)
+                z += out[p] @ w_h_t
+            np.tanh(z, out=z)
+            sig = z[:, :3 * h]
+            sig *= half
+            sig += half
+            ct = c[r]
+            np.multiply(z[:, :h], z[:, 3 * h:], out=ct)
+            if t:
+                ct += z[:, h:2 * h] * c[p]
+            np.multiply(z[:, 2 * h:3 * h], np.tanh(ct), out=out[r])
+        if need_cache:
+            caches.append(_LayerCache(inp, gates, c, out))
         inp = out
-    return h_cur, caches
+    live = pack.last >= 0
+    h_last[live] = inp[pack.last[live]]
+    return h_last, caches
 
 
 def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
-                        mask: np.ndarray, dh_last: np.ndarray) -> np.ndarray:
-    """Backprop through :func:`lstm_batch_forward`; accumulates parameter
-    gradients and returns the gradient on the first layer's input sequence."""
-    d_above = None  # gradient on the current layer's output sequence
+                        packing, dh_last: np.ndarray) -> np.ndarray:
+    """Backprop through :func:`lstm_batch_forward`, given the same
+    ``packing``; accumulates parameter gradients and returns the gradient
+    on the padded input X, zero at steps past each sample's length."""
+    pack = _packing(packing)
+    dtype = layers[0].w_x.values.dtype
+    dX = np.zeros((pack.steps, pack.batch, layers[0].d_in), dtype=dtype)
+    if not pack.bs:
+        return dX
+    order_b = pack.b_idx[:pack.bs[0]]   # samples, longest first
+    N = pack.rows
+    # h_prev of a row past the first step is the same sample's row one step
+    # earlier, bs[t-1] rows up
+    later = slice(pack.bs[0], N)
+    prev = np.arange(pack.bs[0], N) - np.repeat(np.array(pack.bs[:-1], dtype=np.int64),
+                                                  pack.bs[1:])
+    d_above = None  # gradient on the current layer's packed output rows
     for li in range(len(layers) - 1, -1, -1):
         layer = layers[li]
         cache = caches[li]
-        T, B, h = cache.i.shape
-        dtype = cache.i.dtype
-        DZ = np.empty((T, B, 4 * h), dtype=dtype)
-        dh = dh_last.astype(dtype, copy=True) if li == len(layers) - 1 else np.zeros((B, h), dtype=dtype)
-        dc = np.zeros((B, h), dtype=dtype)
-        w_h = layer.w_h.values
-        for t in range(T - 1, -1, -1):
+        gates, c = cache.gates, cache.c
+        h = layer.hidden
+        order, _ = _gate_layout(h, dtype)
+        w_h = layer.w_h.values[order]
+        # local derivatives of every gate and of tanh(c), in one pass each
+        dgate = gates * (1.0 - gates)
+        g = gates[:, 3 * h:]
+        np.multiply(g, g, out=dgate[:, 3 * h:])
+        np.subtract(1.0, dgate[:, 3 * h:], out=dgate[:, 3 * h:])
+        tc = np.tanh(c)
+        dtc = 1.0 - tc * tc
+        DZ = np.empty((N, 4 * h), dtype=dtype)
+        dh = np.zeros((pack.bs[0], h), dtype=dtype)
+        if li == len(layers) - 1:
+            dh[...] = dh_last[order_b]
+        dc = np.zeros((pack.bs[0], h), dtype=dtype)
+        for t in range(len(pack.bs) - 1, -1, -1):
+            b = pack.bs[t]
+            r = slice(pack.off[t], pack.off[t] + b)
+            dht = dh[:b]
             if d_above is not None:
-                dh = dh + d_above[t]
-            m = mask[t]
-            keep = 1.0 - m
-            dhc = m * dh
-            dh_keep = keep * dh
-            dcc = m * dc
-            dc_keep = keep * dc
-            i = cache.i[t]; f = cache.f[t]; g = cache.g[t]; o = cache.o[t]
-            tc = cache.tc[t]; c_prev = cache.c_prev[t]
-            do = dhc * tc
-            dcc = dcc + dhc * o * (1.0 - tc * tc)
-            di = dcc * g
-            df = dcc * c_prev
-            dg = dcc * i
-            dc = dcc * f + dc_keep
-            DZ[t, :, :h] = di * i * (1.0 - i)
-            DZ[t, :, h:2 * h] = df * f * (1.0 - f)
-            DZ[t, :, 2 * h:3 * h] = dg * (1.0 - g * g)
-            DZ[t, :, 3 * h:] = do * o * (1.0 - o)
-            dh = DZ[t] @ w_h + dh_keep
-        DZf = DZ.reshape(T * B, 4 * h)
-        layer.w_x.grad += DZf.T @ cache.inp.reshape(T * B, -1)
-        layer.w_h.grad += DZf.T @ cache.h_prev.reshape(T * B, h)
-        layer.b.grad += DZf.sum(axis=0)
-        d_above = (DZf @ layer.w_x.values).reshape(T, B, -1)
-    return d_above
+                dht += d_above[r]
+            a = gates[r]
+            dz = DZ[r]
+            dct = dc[:b]
+            np.multiply(dht, tc[r], out=dz[:, 2 * h:3 * h])
+            dct += dht * a[:, 2 * h:3 * h] * dtc[r]
+            np.multiply(dct, a[:, 3 * h:], out=dz[:, :h])
+            if t:
+                p = slice(pack.off[t - 1], pack.off[t - 1] + b)
+                np.multiply(dct, c[p], out=dz[:, h:2 * h])
+            else:
+                dz[:, h:2 * h] = 0.0
+            np.multiply(dct, a[:, :h], out=dz[:, 3 * h:])
+            dz *= dgate[r]
+            dct *= a[:, h:2 * h]
+            if t:
+                np.matmul(dz, w_h, out=dht)
+        layer.w_x.grad[order] += DZ.T @ cache.inp
+        layer.w_h.grad[order] += DZ[later].T @ cache.out[prev]
+        layer.b.grad[order] += DZ.sum(axis=0)
+        d_above = DZ @ layer.w_x.values[order]
+    dX[pack.t_idx, pack.b_idx] = d_above
+    return dX
 
 
 def _as_seq_array(seq, d_in: int, dtype) -> np.ndarray:
@@ -294,18 +396,17 @@ def lstm_forward_cached(seq, layers: list[LstmLayer], need_cache: bool = True):
     arr = _as_seq_array(seq, layers[0].d_in, dtype)
     if arr.shape[0] == 0:
         return np.zeros(layers[-1].hidden, dtype=dtype), None
-    X = arr[:, None, :]
-    mask = np.ones((arr.shape[0], 1, 1), dtype=dtype)
-    h, caches = lstm_batch_forward(X, mask, layers, need_cache=need_cache)
-    return h[0], (caches, mask)
+    pack = Packing([arr.shape[0]])
+    h, caches = lstm_batch_forward(arr[:, None, :], pack, layers, need_cache=need_cache)
+    return h[0], (caches, pack)
 
 
 def lstm_backward_single(cache, layers: list[LstmLayer], dh: np.ndarray) -> np.ndarray:
     """Backward companion of :func:`lstm_forward_cached` for one sequence."""
     if cache is None:  # empty sequence: constant zero output, no gradients
         return np.zeros((0, layers[0].d_in), dtype=layers[0].w_x.values.dtype)
-    caches, mask = cache
-    dX = lstm_batch_backward(caches, layers, mask, dh[None, :])
+    caches, pack = cache
+    dX = lstm_batch_backward(caches, layers, pack, dh[None, :])
     return dX[:, 0, :]
 
 

@@ -14,8 +14,10 @@ Q-value per management action.
 from __future__ import annotations
 
 import io
+import os
 import pickle
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,8 +28,7 @@ from .nn import (
     GradientError,
     LstmLayer,
     ParamTensor,
-    embedding_backward,
-    embedding_lookup,
+    Packing,
     init_uniform,
     linear_backward,
     linear_forward,
@@ -43,7 +44,6 @@ __all__ = [
     "Vocabulary",
     "QNetwork",
     "encode_system",
-    "kge_encode",
     "encode_state",
     "greedy_action",
 ]
@@ -116,22 +116,6 @@ def encode_system(vocab: Vocabulary, kind: str, entries) -> np.ndarray:
     return rows
 
 
-def kge_encode(vocab: Vocabulary, table: ParamTensor, kind: str, entries) -> np.ndarray:
-    """Embed one system's entries as (n, 3*d) rows laid out head | relation
-    | tail.  The relation third is zero; a head naming both a human and an
-    object embeds as the sum of the two."""
-    codes = encode_system(vocab, kind, entries)
-    d = table.values.shape[1]
-    out = np.zeros((codes.shape[0], 3 * d), dtype=table.values.dtype)
-    for r, (a, b, tail) in enumerate(codes):
-        head = embedding_lookup(table, a)
-        if b >= 0:
-            head = head + embedding_lookup(table, b)
-        out[r, :d] = head
-        out[r, 2 * d:] = embedding_lookup(table, tail)
-    return out
-
-
 def encode_state(vocab: Vocabulary, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token codes for a (short_term, episodic, semantic) snapshot."""
     short, episodic, semantic = state
@@ -142,32 +126,44 @@ def encode_state(vocab: Vocabulary, state) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _gather(table: ParamTensor, codes: np.ndarray) -> np.ndarray:
-    """(n, 3) token codes -> (n, 3*d) embedded rows, middle third zero."""
-    d = table.values.shape[1]
-    n = codes.shape[0]
-    out = np.zeros((n, 3 * d), dtype=table.values.dtype)
-    if n == 0:
-        return out
-    out[:, :d] = table.values[codes[:, 0]]
-    b = codes[:, 1]
-    has_b = b >= 0
-    if has_b.any():
-        out[has_b, :d] += table.values[b[has_b]]
-    out[:, 2 * d:] = table.values[codes[:, 2]]
-    return out
+def _pad_codes(codes: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-sample (n, 3) token codes into one (T, B, 3) tensor.
+
+    Steps past a sample's length, and the -1 owner slot of semantic rows,
+    point at ``pad``, the embedding table's extra zero row.  Returns
+    (codes, lengths)."""
+    B = len(codes)
+    lengths = [c.shape[0] for c in codes]
+    T = max(lengths, default=0)
+    out = np.full((T, B, 3), pad, dtype=np.int64)
+    if T:
+        rows = np.concatenate(codes)
+        start = np.repeat(list(accumulate(lengths, initial=0))[:-1], lengths)
+        sample = np.repeat(np.arange(B), lengths)
+        out[np.arange(rows.shape[0]) - start, sample] = np.where(rows < 0, pad, rows)
+    return out, lengths
 
 
-def _scatter_grad(table: ParamTensor, codes: np.ndarray, dX: np.ndarray) -> None:
-    d = table.values.shape[1]
-    if codes.shape[0] == 0:
-        return
-    np.add.at(table.grad, codes[:, 0], dX[:, :d])
-    b = codes[:, 1]
-    has_b = b >= 0
-    if has_b.any():
-        np.add.at(table.grad, b[has_b], dX[has_b, :d])
-    np.add.at(table.grad, codes[:, 2], dX[:, 2 * d:])
+def _embed(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """(T, B, 3) codes -> (T, B, 3*d) rows laid out head | relation | tail.
+    The head embeds as the sum of its two tokens; the relation third is
+    zero."""
+    X = table[codes]
+    X[..., 0, :] += X[..., 1, :]
+    X[..., 1, :] = 0.0
+    return X.reshape(codes.shape[:2] + (3 * table.shape[1],))
+
+
+def _embedding_grad(codes: np.ndarray, dX: np.ndarray, n_rows: int) -> np.ndarray:
+    """Gradient of :func:`_embed` on its (n_rows, d) table, summed in one
+    pass: both head tokens take the head's gradient, the tail token the
+    tail's."""
+    dX = dX.reshape(codes.shape + (-1,))
+    d = dX.shape[-1]
+    dX[..., 1, :] = dX[..., 0, :]
+    flat = (codes[..., None] * d + np.arange(d)).ravel()
+    grad = np.bincount(flat, weights=dX.ravel(), minlength=n_rows * d)
+    return grad.reshape(n_rows, d)
 
 
 @dataclass
@@ -272,30 +268,22 @@ class QNetwork:
         """Q-values for a batch of encoded states: list of (codes_short,
         codes_episodic, codes_semantic) int32 arrays.  Returns (q (B, A),
         cache or None)."""
-        B = len(enc_states)
-        dtype = self.embedding.values.dtype
+        V = self.embedding.values.shape[0]
+        table = np.zeros((V + 1, self.d_emb), dtype=self.embedding.values.dtype)
+        table[:V] = self.embedding.values
         branch_caches = {}
         feats = []
         for bi, kind in enumerate(BRANCHES):
-            codes = [enc[bi] for enc in enc_states]
-            lengths = np.array([c.shape[0] for c in codes], dtype=np.int64)
-            T = int(lengths.max()) if B else 0
-            d3 = 3 * self.d_emb
-            X = np.zeros((T, B, d3), dtype=dtype)
-            mask = np.zeros((T, B, 1), dtype=dtype)
-            for s, c in enumerate(codes):
-                n = c.shape[0]
-                if n:
-                    X[:n, s, :] = _gather(self.embedding, c)
-                    mask[:n, s, 0] = 1.0
+            codes, lengths = _pad_codes([enc[bi] for enc in enc_states], V)
+            pack = Packing(lengths)
             branch = self.branches[kind]
-            h_last, lstm_caches = lstm_batch_forward(X, mask, branch.lstm,
+            h_last, lstm_caches = lstm_batch_forward(_embed(table, codes), pack, branch.lstm,
                                                      need_cache=need_cache)
             z, lin_x = linear_forward(h_last, branch.w, branch.b)
             a, relu_m = relu_forward(z)
             feats.append(a)
             if need_cache:
-                branch_caches[kind] = (codes, mask, lstm_caches, lin_x, relu_m)
+                branch_caches[kind] = (codes, pack, lstm_caches, lin_x, relu_m)
         cat = np.concatenate(feats, axis=1)
         z1, x1 = linear_forward(cat, self.head_w1, self.head_b1)
         a1, m1 = relu_forward(z1)
@@ -310,19 +298,17 @@ class QNetwork:
         dz1 = relu_backward(m1, da1)
         dcat = linear_backward(x1, self.head_w1, self.head_b1, dz1)
         h = self.hidden
+        V = self.embedding.values.shape[0]
         for bi, kind in enumerate(BRANCHES):
-            codes, mask, lstm_caches, lin_x, relu_m = branch_caches[kind]
+            codes, pack, lstm_caches, lin_x, relu_m = branch_caches[kind]
             da = dcat[:, bi * h:(bi + 1) * h]
             dz = relu_backward(relu_m, da)
             branch = self.branches[kind]
             dh_last = linear_backward(lin_x, branch.w, branch.b, dz)
             if not lstm_caches:  # all-empty branch contributed constant zeros
                 continue
-            dX = lstm_batch_backward(lstm_caches, branch.lstm, mask, dh_last)
-            for s, c in enumerate(codes):
-                n = c.shape[0]
-                if n:
-                    _scatter_grad(self.embedding, c, dX[:n, s, :])
+            dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last)
+            self.embedding.grad += _embedding_grad(codes, dX, V + 1)[:V]
 
     # -- persistence ---------------------------------------------------------
 
@@ -339,8 +325,11 @@ class QNetwork:
         buf = io.BytesIO()
         buf.write(_CKPT_MAGIC)
         pickle.dump(payload, buf, protocol=4)
-        with open(path, "wb") as fh:
+        # write-then-rename, so a crash never leaves a half-written checkpoint
+        tmp = f"{os.fspath(path)}.tmp"
+        with open(tmp, "wb") as fh:
             fh.write(buf.getvalue())
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "QNetwork":

@@ -75,3 +75,83 @@ def max_relative_error(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.abs(n))
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def _ref_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def masked_lstm_forward(X, mask, layers):
+    """Stacked LSTM over a padded batch, one masked step at a time.
+
+    X: (T, B, d_in); mask: (T, B, 1) with 1.0 while t is inside the sample's
+    sequence.  Every sample runs every step; a finished sample's state is
+    carried through by the mask.  Gate order (i, f, g, o).  Returns
+    (h_last (B, h), per-layer caches for :func:`masked_lstm_backward`)."""
+    T, B, _ = X.shape
+    dtype = layers[0].w_x.values.dtype
+    caches = []
+    inp = X
+    h_cur = np.zeros((B, layers[-1].hidden), dtype=dtype)
+    for layer in layers:
+        h = layer.hidden
+        xz = (inp.reshape(T * B, -1) @ layer.w_x.values.T).reshape(T, B, 4 * h) + layer.b.values
+        cache = {k: np.empty((T, B, h), dtype=dtype)
+                 for k in ("i", "f", "g", "o", "tc", "h_prev", "c_prev")}
+        out = np.empty((T, B, h), dtype=dtype)
+        h_cur = np.zeros((B, h), dtype=dtype)
+        c_cur = np.zeros((B, h), dtype=dtype)
+        for t in range(T):
+            z = xz[t] + h_cur @ layer.w_h.values.T
+            i = _ref_sigmoid(z[:, :h])
+            f = _ref_sigmoid(z[:, h:2 * h])
+            g = np.tanh(z[:, 2 * h:3 * h])
+            o = _ref_sigmoid(z[:, 3 * h:])
+            cc = f * c_cur + i * g
+            tc = np.tanh(cc)
+            for k, v in (("i", i), ("f", f), ("g", g), ("o", o), ("tc", tc),
+                         ("h_prev", h_cur), ("c_prev", c_cur)):
+                cache[k][t] = v
+            m = mask[t]
+            h_cur = m * (o * tc) + (1.0 - m) * h_cur
+            c_cur = m * cc + (1.0 - m) * c_cur
+            out[t] = h_cur
+        cache["inp"] = inp
+        caches.append(cache)
+        inp = out
+    return h_cur, caches
+
+
+def masked_lstm_backward(caches, layers, mask, dh_last):
+    """Gradients of :func:`masked_lstm_forward`: accumulates into the layers'
+    ``grad`` arrays and returns dL/dX (T, B, d_in)."""
+    d_above = None
+    for li in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[li], caches[li]
+        T, B, h = cache["i"].shape
+        DZ = np.empty((T, B, 4 * h), dtype=cache["i"].dtype)
+        dh = dh_last.copy() if li == len(layers) - 1 else np.zeros((B, h), dtype=DZ.dtype)
+        dc = np.zeros((B, h), dtype=DZ.dtype)
+        for t in range(T - 1, -1, -1):
+            if d_above is not None:
+                dh = dh + d_above[t]
+            m = mask[t]
+            dhc, dh_keep = m * dh, (1.0 - m) * dh
+            dcc, dc_keep = m * dc, (1.0 - m) * dc
+            i, f, g, o = (cache[k][t] for k in ("i", "f", "g", "o"))
+            tc, c_prev = cache["tc"][t], cache["c_prev"][t]
+            do = dhc * tc
+            dcc = dcc + dhc * o * (1.0 - tc * tc)
+            DZ[t, :, :h] = dcc * g * i * (1.0 - i)
+            DZ[t, :, h:2 * h] = dcc * c_prev * f * (1.0 - f)
+            DZ[t, :, 2 * h:3 * h] = dcc * i * (1.0 - g * g)
+            DZ[t, :, 3 * h:] = do * o * (1.0 - o)
+            dc = dcc * f + dc_keep
+            dh = DZ[t] @ layer.w_h.values + dh_keep
+        DZf = DZ.reshape(T * B, 4 * h)
+        layer.w_x.grad += DZf.T @ cache["inp"].reshape(T * B, -1)
+        layer.w_h.grad += DZf.T @ cache["h_prev"].reshape(T * B, h)
+        layer.b.grad += DZf.sum(axis=0)
+        d_above = (DZf @ layer.w_x.values).reshape(T, B, -1)
+    return d_above

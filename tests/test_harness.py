@@ -5,6 +5,7 @@ from roommem.env import ConfigError
 from roommem.harness import (
     CellResult,
     agent_capacities,
+    pool_size,
     run_cell,
     sweep,
     write_results_csv,
@@ -145,6 +146,19 @@ def test_sweep_worker_pool_matches_serial(tiny_env, tmp_path):
     assert serial == pooled
     assert (tmp_path / "a" / "results.csv").read_bytes() == \
         (tmp_path / "b" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("requested,n_tasks,n_cpus,expected", [
+    (8, 3, 2, 2),     # capped by CPUs
+    (8, 1, 4, 1),     # one task: no pool
+    (2, 10, 4, 2),    # the request is below both caps
+    (64, 5, 96, 5),   # capped by tasks
+    (1, 10, 4, 1),
+    (0, 10, 4, 1),
+    (4, 0, 4, 1),
+])
+def test_pool_size_caps_workers(requested, n_tasks, n_cpus, expected):
+    assert pool_size(requested, n_tasks, n_cpus) == expected
 
 
 def test_write_results_csv_formats_four_decimals(tmp_path):

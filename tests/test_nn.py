@@ -5,6 +5,7 @@ from roommem.nn import (
     Adam,
     GradientError,
     LstmLayer,
+    Packing,
     ParamTensor,
     embedding_backward,
     embedding_lookup,
@@ -22,7 +23,7 @@ from roommem.nn import (
     sigmoid,
 )
 
-from .oracles import fd_gradient, max_relative_error
+from .oracles import fd_gradient, masked_lstm_backward, masked_lstm_forward, max_relative_error
 
 TOL = 1e-4
 
@@ -245,6 +246,93 @@ def test_lstm_single_backward_matches_batch():
     for a, b in zip(grads_single, grads_batch):
         assert np.allclose(a, b, atol=1e-12)
     assert np.allclose(dX, dX_b[:, 0, :], atol=1e-12)
+
+
+# Tolerances of the packed kernel against the masked reference, fixed from
+# the dtype: the kernel computes sigmoid as tanh(z/2)/2 + 1/2 and sums the
+# weight gradients over packed rows, so results agree to round-off only.
+KERNEL_TOL = {np.float64: dict(rtol=1e-9, atol=1e-12), np.float32: dict(rtol=2e-4, atol=2e-5)}
+
+
+def _random_batch(rng, dtype, d_in, B, T):
+    """Lengths in shuffled order with empty and full samples mixed in, a
+    padded batch whose padding is garbage, and its (T, B, 1) mask."""
+    lengths = rng.integers(0, T + 1, size=B)
+    lengths[:3] = (0, T, 0)
+    rng.shuffle(lengths)
+    X = rng.normal(size=(T, B, d_in)).astype(dtype)
+    mask = (np.arange(T)[:, None] < lengths[None, :]).astype(dtype)[:, :, None]
+    return lengths, X, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_packed_kernel_matches_masked_reference(dtype):
+    rng = np.random.default_rng(12)
+    d_in, hidden, B, T = 5, 6, 11, 7
+    layers = [LstmLayer.create(rng, d_in, hidden, dtype, "l0"),
+              LstmLayer.create(rng, hidden, hidden, dtype, "l1")]
+    lengths, X, mask = _random_batch(rng, dtype, d_in, B, T)
+    dh = rng.normal(size=(B, hidden)).astype(dtype)
+    params = [p for layer in layers for p in layer.parameters()]
+
+    h_ref, caches = masked_lstm_forward(X * mask, mask, layers)
+    dX_ref = masked_lstm_backward(caches, layers, mask, dh)
+    grads_ref = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+
+    # padding must never be read, so the kernel gets it unmasked
+    pack = Packing(lengths)
+    h, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
+    dX = lstm_batch_backward(caches, layers, pack, dh)
+    tol = KERNEL_TOL[dtype]
+    assert h.dtype == dtype and dX.dtype == dtype
+    np.testing.assert_allclose(h, h_ref, **tol)
+    assert np.all(h[lengths == 0] == 0.0)
+    for p, g_ref in zip(params, grads_ref):
+        np.testing.assert_allclose(p.grad, g_ref, err_msg=p.name, **tol)
+    np.testing.assert_allclose(dX * mask, dX_ref * mask, **tol)
+    assert np.all(dX[mask[..., 0] == 0.0] == 0.0)
+
+
+def test_kernel_takes_a_mask_or_a_packing_alike():
+    rng = np.random.default_rng(13)
+    layers = make_lstm_stack(rng, 3, 4, 2)
+    lengths, X, mask = _random_batch(rng, np.float64, 3, 6, 5)
+    h_mask, _ = lstm_batch_forward(X, mask, layers)
+    h_pack, _ = lstm_batch_forward(X, Packing(lengths), layers)
+    assert np.array_equal(h_mask, h_pack)
+
+
+def test_packing_rejects_bad_lengths():
+    with pytest.raises(ValueError):
+        Packing([2, -1])
+    with pytest.raises(ValueError):
+        Packing([3, 1], steps=2)
+    holey = np.ones((3, 1, 1))
+    holey[1] = 0.0
+    with pytest.raises(ValueError):
+        Packing.from_mask(holey)
+    layers = make_lstm_stack(np.random.default_rng(0), 3, 4, 1)
+    with pytest.raises(ValueError):
+        lstm_batch_forward(np.zeros((4, 2, 3)), Packing([1, 2]), layers)
+
+
+def test_layer_cache_is_smaller_than_the_masked_layout():
+    """The masked kernel kept eight (T, B, h) arrays per layer (i, f, g, o,
+    candidate cell, its tanh, h_prev, c_prev).  The packed cache holds one
+    gate array plus the cell and hidden state, over live rows only, so even
+    a batch with no padding at all needs fewer bytes."""
+    rng = np.random.default_rng(14)
+    T, B, d_in, hidden = 6, 5, 3, 4
+    layers = make_lstm_stack(rng, d_in, hidden, 2)
+    X = rng.normal(size=(T, B, d_in))
+    for lengths in (np.full(B, T), np.array([6, 1, 0, 3, 2])):
+        _, caches = lstm_batch_forward(X, Packing(lengths), layers, need_cache=True)
+        masked = 8 * T * B * hidden * X.itemsize
+        for cache in caches:
+            assert cache.gates.nbytes + cache.c.nbytes + cache.out.nbytes < masked
+            assert cache.gates.shape == (lengths.sum(), 4 * hidden)
 
 
 def test_adam_single_step_frozen():

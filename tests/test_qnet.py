@@ -18,8 +18,8 @@ from roommem.qnet import (
     encode_state,
     encode_system,
     greedy_action,
-    kge_encode,
 )
+from roommem.qnet import _embed, _pad_codes
 
 from .oracles import fd_gradient, max_relative_error
 
@@ -105,10 +105,19 @@ def test_encode_empty_system(vocab):
     assert rows.shape == (0, 3)
 
 
+def embed_rows(vocab, net, kind, entries):
+    """One system's entries through the batched gather, as a (n, 3*d) batch
+    of one sample."""
+    emb = net.embedding.values
+    table = np.vstack([emb, np.zeros((1, emb.shape[1]))])
+    codes, _ = _pad_codes([encode_system(vocab, kind, entries)], emb.shape[0])
+    return _embed(table, codes)[:, 0, :]
+
+
 def test_kge_rows_zero_relation_slot(vocab, net):
     d = 4
     entries = [epi("Ann", "bowl", "desk", 1), epi("Bob", "mug", "lap", 3)]
-    X = kge_encode(vocab, net.embedding, EPISODIC, entries)
+    X = embed_rows(vocab, net, EPISODIC, entries)
     assert X.shape == (2, 3 * d)
     assert np.all(X[:, d:2 * d] == 0.0)
     emb = net.embedding.values
@@ -119,7 +128,7 @@ def test_kge_rows_zero_relation_slot(vocab, net):
 
 def test_kge_semantic_head_is_bare_object(vocab, net):
     d = 4
-    X = kge_encode(vocab, net.embedding, SEMANTIC, [sem("mug", "bed", 2)])
+    X = embed_rows(vocab, net, SEMANTIC, [sem("mug", "bed", 2)])
     emb = net.embedding.values
     assert np.allclose(X[0, :d], emb[vocab.token("mug")])
     assert np.allclose(X[0, 2 * d:], emb[vocab.token("bed")])
@@ -173,6 +182,26 @@ def test_forward_batch_matches_single(vocab, net):
     assert Q.shape == (3, 3)
     for i, s in enumerate(states):
         assert np.allclose(Q[i], net.forward(s), atol=1e-12)
+
+
+def test_forward_batch_with_a_branch_empty_in_every_sample(vocab, net):
+    """No sample has a semantic entry: that branch runs no LSTM step, feeds
+    its constant features to the head and gets no recurrent gradient."""
+    states = [
+        state_of(short=[epi("Ann", "bowl", "desk", 0)]),
+        state_of(episodic=[epi("Bob", "mug", "lap", 1), epi("Ann", "bowl", "bed", 4)]),
+        state_of(),
+    ]
+    enc = [encode_state(vocab, s) for s in states]
+    Q, cache = net.forward_batch(enc, need_cache=True)
+    for i, s in enumerate(states):
+        assert np.allclose(Q[i], net.forward(s), atol=1e-12)
+    net.zero_grad()
+    net.backward_batch(cache, np.ones_like(Q))
+    for layer in net.branches[SEMANTIC].lstm:
+        assert all(np.all(p.grad == 0.0) for p in layer.parameters())
+    assert np.any(net.branches[SEMANTIC].b.grad != 0.0)
+    assert np.any(net.branches[EPISODIC].lstm[0].w_x.grad != 0.0)
 
 
 def test_full_network_gradient_fd(vocab, net):
@@ -245,6 +274,15 @@ def test_save_load_round_trip(tmp_path, vocab, net):
     loaded = QNetwork.load(path)
     assert loaded.vocab == net.vocab
     assert np.array_equal(loaded.forward(st), net.forward(st))
+
+
+def test_save_replaces_existing_checkpoint_atomically(tmp_path, vocab, net):
+    st = state_of(episodic=[epi("Bob", "mug", "lap", 1)])
+    path = tmp_path / "net.ckpt"
+    QNetwork.create(vocab, seed=99, d_emb=4, hidden=6, n_layers=2).save(path)
+    net.save(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
+    assert np.array_equal(QNetwork.load(path).forward(st), net.forward(st))
 
 
 def test_load_rejects_garbage(tmp_path):
