@@ -3,7 +3,8 @@
 One namespace covers environment, training, and experiment keys so a whole
 run is described by a single diff-able file.  ``include = name`` pulls in
 another file first (relative to the including file, else a packaged
-preset); later lines override included ones.  Unknown keys are errors.
+preset; inside a packaged preset, always a packaged preset); later lines
+override included ones.  Unknown keys are errors.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .env import ConfigError, EnvConfig
 from .trainer import TrainConfig
 
 __all__ = ["AGENTS", "RL_AGENTS", "ExperimentConfig", "load_experiment",
-           "parse_config_text"]
+           "load_preset", "parse_config_text"]
 
 AGENTS = ("episodic-only", "semantic-only", "random", "rl-scratch",
           "rl-pretrained")
@@ -88,13 +89,10 @@ def _train_value(name: str, raw: str, where: str):
     return _scalar(name, raw, int, where)
 
 
-def _preset_text(name: str) -> str | None:
-    ref = resources.files("roommem") / "presets" / name
-    return ref.read_text(encoding="utf-8") if ref.is_file() else None
+_PRESETS = resources.files("roommem") / "presets"
 
 
-def _ingest_text(text: str, label: str, base_dir: Path | None, seen: frozenset,
-                 out: dict) -> None:
+def _ingest_text(text: str, label: str, base_dir, seen: frozenset, out: dict) -> None:
     if label in seen:
         raise ConfigError(f"circular include of {label}")
     seen = seen | {label}
@@ -123,17 +121,20 @@ def _ingest_text(text: str, label: str, base_dir: Path | None, seen: frozenset,
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def _ingest_file(path_or_name: str, base_dir: Path | None, seen: frozenset,
-                 out: dict) -> None:
-    candidate = (base_dir / path_or_name) if base_dir is not None else Path(path_or_name)
-    if candidate.is_file():
-        _ingest_text(candidate.read_text(encoding="utf-8"), str(candidate),
-                     candidate.parent, seen, out)
-        return
-    text = _preset_text(Path(path_or_name).name)
-    if text is None:
+def _ingest_file(path_or_name: str, base_dir, seen: frozenset, out: dict) -> None:
+    """``base_dir`` is the including file's directory, None for the working
+    directory, or ``_PRESETS`` when a packaged preset is including."""
+    if base_dir is not _PRESETS:
+        candidate = (base_dir / path_or_name) if base_dir is not None else Path(path_or_name)
+        if candidate.is_file():
+            _ingest_text(candidate.read_text(encoding="utf-8"), str(candidate),
+                         candidate.parent, seen, out)
+            return
+    name = Path(path_or_name).name
+    ref = _PRESETS / name
+    if not ref.is_file():
         raise ConfigError(f"config file not found: {path_or_name}")
-    _ingest_text(text, f"preset:{Path(path_or_name).name}", None, seen, out)
+    _ingest_text(ref.read_text(encoding="utf-8"), f"preset:{name}", _PRESETS, seen, out)
 
 
 def _assemble(out: dict) -> ExperimentConfig:
@@ -156,4 +157,12 @@ def load_experiment(path: str) -> ExperimentConfig:
     """Read a config file (resolving includes) into a validated config."""
     out: dict = {}
     _ingest_file(str(path), None, frozenset(), out)
+    return _assemble(out)
+
+
+def load_preset(name: str) -> ExperimentConfig:
+    """A packaged preset, never a file of that name in the working
+    directory."""
+    out: dict = {}
+    _ingest_file(name, _PRESETS, frozenset(), out)
     return _assemble(out)

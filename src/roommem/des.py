@@ -73,13 +73,6 @@ class Routine:
             if dur < 1:
                 raise DesError(f"segment duration must be >= 1, got {dur}")
 
-    def unrolled(self) -> tuple[str, ...]:
-        """One full cycle as a per-tick location sequence."""
-        steps: list[str] = []
-        for loc, dur in self.segments:
-            steps.extend([loc] * dur)
-        return tuple(steps)
-
 
 @dataclass
 class Human:

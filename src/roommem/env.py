@@ -9,28 +9,21 @@ observed so far.
 """
 from __future__ import annotations
 
-import pickle
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .des import RoomState, Routine, Human, build_room, tick, true_location
-from .kb import KbError, KnowledgeBase, generate_synthetic_kb, load_kb
+from .des import build_room, tick, true_location
+from .kb import generate_synthetic_kb, load_kb
 from .memory import RELATION, format_head
 from .seeding import ROLE_DES, ROLE_QUESTIONS, derive_rng, derive_seed
 
 __all__ = [
     "ConfigError",
     "EnvError",
-    "SnapshotError",
     "EnvConfig",
     "Observation",
     "Question",
     "RoomEnv",
 ]
-
-_SNAPSHOT_MAGIC = b"ROOMMEMENV1\n"
-
 
 class ConfigError(ValueError):
     """Invalid configuration value or combination."""
@@ -38,10 +31,6 @@ class ConfigError(ValueError):
 
 class EnvError(RuntimeError):
     """Environment used out of protocol (step before reset, step after done)."""
-
-
-class SnapshotError(ValueError):
-    """Snapshot blob is corrupt or from an incompatible version."""
 
 
 @dataclass(frozen=True)
@@ -191,84 +180,3 @@ class RoomEnv:
             return self._ledger[human]
         except KeyError:
             raise EnvError(f"human {human!r} has not been observed yet") from None
-
-    def room_location(self, human: str) -> str:
-        """Live ground truth, for diagnostics only."""
-        return true_location(self._room, human)
-
-    # -- snapshot / restore --------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Opaque versioned blob capturing enough to resume the episode."""
-        if not self._started:
-            raise EnvError("nothing to snapshot before reset()")
-        room = self._room
-        payload = {
-            "version": 1,
-            "config": asdict(self.config),
-            "kb": {
-                "objects": self.kb.objects,
-                "locations": self.kb.locations,
-                "edges": self.kb.edges,
-            },
-            "humans": [
-                (h.name, h.obj, h.routine.segments, h.seg, h.steps_in_seg)
-                for h in room.humans
-            ],
-            "current_location": dict(room.current_location),
-            "occupancy": dict(room.occupancy),
-            "location_capacity": room.location_capacity,
-            "timestep": room.timestep,
-            "qrng": self._qrng.bit_generator.state,
-            "obs_count": self._obs_count,
-            "grades": self._grades,
-            "observed": list(self._observed),
-            "ledger": dict(self._ledger),
-            "pending_human": self._pending_human,
-            "done": self._done,
-        }
-        return _SNAPSHOT_MAGIC + pickle.dumps(payload, protocol=4)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "RoomEnv":
-        if not isinstance(blob, (bytes, bytearray)) or not blob.startswith(_SNAPSHOT_MAGIC):
-            raise SnapshotError("not a room environment snapshot")
-        try:
-            payload = pickle.loads(bytes(blob[len(_SNAPSHOT_MAGIC):]))
-        except Exception as exc:
-            raise SnapshotError(f"corrupt snapshot blob: {exc}") from None
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            raise SnapshotError("unsupported snapshot version")
-        cfg_dict = dict(payload["config"])
-        cfg_dict["routine_segments"] = tuple(cfg_dict["routine_segments"])
-        cfg_dict["routine_durations"] = tuple(cfg_dict["routine_durations"])
-        env = cls(EnvConfig(**cfg_dict))
-        env.kb = KnowledgeBase(
-            tuple(payload["kb"]["objects"]),
-            tuple(payload["kb"]["locations"]),
-            tuple(tuple(e) for e in payload["kb"]["edges"]),
-        )
-        humans = [
-            Human(name, obj, Routine(tuple(tuple(s) for s in segs)), seg, steps)
-            for name, obj, segs, seg, steps in payload["humans"]
-        ]
-        env._room = RoomState(
-            humans,
-            dict(payload["current_location"]),
-            dict(payload["occupancy"]),
-            payload["location_capacity"],
-            payload["timestep"],
-        )
-        env.human_names = tuple(h.name for h in humans)
-        env.object_of = {h.name: h.obj for h in humans}
-        env._qrng = np.random.default_rng()
-        env._qrng.bit_generator.state = payload["qrng"]
-        env._obs_count = payload["obs_count"]
-        env._grades = payload["grades"]
-        env._observed = list(payload["observed"])
-        env._observed_set = set(env._observed)
-        env._ledger = dict(payload["ledger"])
-        env._pending_human = payload["pending_human"]
-        env._done = payload["done"]
-        env._started = True
-        return env

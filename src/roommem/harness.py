@@ -22,7 +22,8 @@ from .policies import (
     GreedyQ,
     RandomPolicy,
     SemanticOnly,
-    run_episode,
+    episode_totals,
+    run_episode,  # noqa: F401  perfbench/workloads.py wraps harness.run_episode
 )
 from .seeding import ROLE_POLICY, ROLE_TEST, derive_rng, derive_seed
 from .trainer import TrainConfig, train
@@ -69,16 +70,6 @@ class CellResult:
         return float(np.std(self.totals))
 
 
-def _eval_policy(policy, env_config: EnvConfig, n_iterations: int, seed: int,
-                 capacities: tuple[int, int], variant: str) -> tuple[int, ...]:
-    totals = []
-    for i in range(n_iterations):
-        total, _ = run_episode(policy, env_config, capacities, variant=variant,
-                               seed=derive_seed(seed, i))
-        totals.append(total)
-    return tuple(totals)
-
-
 def run_cell(env_config: EnvConfig, train_config: TrainConfig, agent: str,
              capacity: int, seed: int) -> CellResult:
     """Evaluate one agent at one capacity with one seed.  RL agents are
@@ -98,7 +89,7 @@ def run_cell(env_config: EnvConfig, train_config: TrainConfig, agent: str,
         policy = GreedyQ(result.net)
     else:
         raise ConfigError(f"unknown agent {agent!r}")
-    totals = _eval_policy(policy, env_config, n_iter, test_seed, caps, variant)
+    totals = episode_totals(policy, env_config, n_iter, test_seed, caps, variant)
     return CellResult(agent, capacity, seed, totals)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "linear_backward",
     "relu_forward",
     "relu_backward",
-    "lstm_forward",
     "lstm_forward_cached",
     "lstm_backward_single",
     "lstm_batch_forward",
@@ -172,13 +171,13 @@ class Packing:
     Packed row ``off[t] + k`` holds step t of the k-th sample in that order;
     ``t_idx``/``b_idx`` map each packed row back to the padded (T, B)
     position, and ``last`` gives each sample's last row.  ``steps`` is the
-    padded length T, at least the longest sequence.  Built once per batch
-    and shared by every layer, forward and backward.
+    padded length T, the longest sequence.  Built once per batch and shared
+    by every layer, forward and backward.
     """
 
     __slots__ = ("batch", "steps", "bs", "off", "t_idx", "b_idx", "last")
 
-    def __init__(self, lengths, steps: int | None = None):
+    def __init__(self, lengths):
         lengths = [int(n) for n in lengths]
         if min(lengths, default=0) < 0:
             raise ValueError("sequence lengths must be non-negative")
@@ -187,8 +186,6 @@ class Packing:
         # decision that is cheaper than numpy calls
         order = sorted(range(B), key=lengths.__getitem__, reverse=True)  # stable
         longest = lengths[order[0]] if B else 0
-        if steps is not None and steps < longest:
-            raise ValueError(f"{steps} padded steps hold no sequence of length {longest}")
         ends = [0] * (longest + 1)
         for n in lengths:
             ends[n] += 1
@@ -204,25 +201,11 @@ class Packing:
             last[j] = self.off[lengths[j] - 1] + k
         self.last = np.array(last, dtype=np.int64)
         self.batch = B
-        self.steps = longest if steps is None else steps
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "Packing":
-        """Packing of a (T, B, 1) mask that is 1.0 for t < length and 0.0
-        after."""
-        live = np.asarray(mask).reshape(mask.shape[0], -1) > 0
-        lengths = live.sum(axis=0)
-        if not np.array_equal(live, np.arange(live.shape[0])[:, None] < lengths):
-            raise ValueError("mask must be 1 for a prefix of each sequence and 0 after")
-        return cls(lengths, steps=live.shape[0])
+        self.steps = longest
 
     @property
     def rows(self) -> int:
         return self.off[-1]
-
-
-def _packing(packing) -> Packing:
-    return packing if isinstance(packing, Packing) else Packing.from_mask(packing)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,19 +238,18 @@ class _LayerCache:
         self.out = out        # (N, h) hidden state after each step
 
 
-def lstm_batch_forward(X: np.ndarray, packing, layers: list[LstmLayer], need_cache: bool = False):
+def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
+                       need_cache: bool = False):
     """Run stacked LSTM layers over a padded batch.
 
-    X: (T, B, d_in).  ``packing`` gives each sample's sequence length: a
-    :class:`Packing`, or a (T, B, 1) mask that is 1.0 while t is inside the
-    sample's sequence.  Steps past a sample's length are never computed and
-    their X rows never read.  Returns (h_last (B, h), caches); an empty
-    sample's h_last is zero.  With no step to run the cache is empty.
+    X: (T, B, d_in), T the longest of the sequence lengths in ``pack``.
+    Steps past a sample's length are never computed and their X rows never
+    read.  Returns (h_last (B, h), caches); an empty sample's h_last is
+    zero.  With no step to run the cache is empty.
 
     All four gates share one ``tanh`` over the 4h block (see
     :func:`_gate_layout`); the cache keeps the gates in that layout.
     """
-    pack = _packing(packing)
     T, B, _ = X.shape
     dtype = layers[0].w_x.values.dtype
     h_last = np.zeros((B, layers[-1].hidden), dtype=dtype)
@@ -310,11 +292,10 @@ def lstm_batch_forward(X: np.ndarray, packing, layers: list[LstmLayer], need_cac
 
 
 def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
-                        packing, dh_last: np.ndarray) -> np.ndarray:
+                        pack: Packing, dh_last: np.ndarray) -> np.ndarray:
     """Backprop through :func:`lstm_batch_forward`, given the same
-    ``packing``; accumulates parameter gradients and returns the gradient
-    on the padded input X, zero at steps past each sample's length."""
-    pack = _packing(packing)
+    ``pack``; accumulates parameter gradients and returns the gradient on
+    the padded input X, zero at steps past each sample's length."""
     dtype = layers[0].w_x.values.dtype
     dX = np.zeros((pack.steps, pack.batch, layers[0].d_in), dtype=dtype)
     if not pack.bs:
@@ -385,13 +366,9 @@ def _as_seq_array(seq, d_in: int, dtype) -> np.ndarray:
     return arr
 
 
-def lstm_forward(seq, layers: list[LstmLayer]) -> np.ndarray:
-    """Last hidden state of a single unpadded sequence; empty in, zeros out."""
-    h, _ = lstm_forward_cached(seq, layers, need_cache=False)
-    return h
-
-
 def lstm_forward_cached(seq, layers: list[LstmLayer], need_cache: bool = True):
+    """Last hidden state of a single unpadded sequence, and the cache for
+    :func:`lstm_backward_single`; empty in, zeros out."""
     dtype = layers[0].w_x.values.dtype
     arr = _as_seq_array(seq, layers[0].d_in, dtype)
     if arr.shape[0] == 0:

@@ -47,6 +47,7 @@ __all__ = [
     "StepRecord",
     "EpisodeTrace",
     "run_episode",
+    "episode_totals",
     "evaluate",
 ]
 
@@ -209,16 +210,20 @@ def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, in
     return total, (EpisodeTrace(tuple(records)) if trace else None)
 
 
+def episode_totals(policy: Policy, env_config: EnvConfig, n_iterations: int, seed: int,
+                   capacities: tuple[int, int], variant: str = "scratch") -> tuple[int, ...]:
+    """Total reward of each of n_iterations episodes, episode i on seed
+    ``derive_seed(seed, i)``."""
+    return tuple(run_episode(policy, env_config, capacities, variant=variant,
+                             seed=derive_seed(seed, i))[0]
+                 for i in range(n_iterations))
+
+
 def evaluate(policy: Policy, env_config: EnvConfig, n_iterations: int, seed: int,
              capacities: tuple[int, int], variant: str = "scratch") -> tuple[float, float]:
-    """Mean and population std of total reward over n_iterations episodes,
-    each on its own derived seed."""
+    """Mean and population std of :func:`episode_totals`."""
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
-    totals = []
-    for i in range(n_iterations):
-        total, _ = run_episode(policy, env_config, capacities, variant=variant,
-                               seed=derive_seed(seed, i))
-        totals.append(total)
-    arr = np.asarray(totals, dtype=np.float64)
+    arr = np.asarray(episode_totals(policy, env_config, n_iterations, seed, capacities,
+                                    variant), dtype=np.float64)
     return float(arr.mean()), float(arr.std())

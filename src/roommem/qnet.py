@@ -13,9 +13,8 @@ Q-value per management action.
 """
 from __future__ import annotations
 
-import io
+import json
 import os
-import pickle
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -48,7 +47,9 @@ __all__ = [
     "greedy_action",
 ]
 
-_CKPT_MAGIC = b"ROOMMEMCKPT1\n"
+_CKPT_VERSION = 2
+_CKPT_HEADER = "header"   # archive member holding the JSON header
+_CKPT_DTYPES = ("<f4", "<f8")
 
 BRANCHES = (SHORT_TERM, EPISODIC, SEMANTIC)
 
@@ -313,51 +314,66 @@ class QNetwork:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        payload = {
-            "version": 1,
-            "vocab": (self.vocab.humans, self.vocab.objects, self.vocab.locations),
+        """Write an ``.npz`` archive: every parameter under its name, plus a
+        JSON header with the version, vocabulary and shape settings."""
+        header = {
+            "version": _CKPT_VERSION,
+            "vocab": [self.vocab.humans, self.vocab.objects, self.vocab.locations],
             "d_emb": self.d_emb,
             "hidden": self.hidden,
             "n_layers": len(self.branches[SHORT_TERM].lstm),
             "dtype": self.embedding.values.dtype.str,
-            "tensors": {p.name: p.values for p in self.parameters()},
         }
-        buf = io.BytesIO()
-        buf.write(_CKPT_MAGIC)
-        pickle.dump(payload, buf, protocol=4)
+        arrays = {p.name: p.values for p in self.parameters()}
+        arrays[_CKPT_HEADER] = np.array(json.dumps(header))
         # write-then-rename, so a crash never leaves a half-written checkpoint
         tmp = f"{os.fspath(path)}.tmp"
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "QNetwork":
+        """Read a :meth:`save` archive; never unpickles.  Any malformed
+        archive, header or tensor raises :class:`CheckpointError`."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if not blob.startswith(_CKPT_MAGIC):
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        try:
-            payload = pickle.loads(blob[len(_CKPT_MAGIC):])
-        except Exception as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            raise CheckpointError(f"{path}: unsupported checkpoint version")
-        humans, objects, locations = payload["vocab"]
-        vocab = Vocabulary(tuple(humans), tuple(objects), tuple(locations))
-        dtype = np.dtype(payload["dtype"])
-        net = cls.create(vocab, seed=0, d_emb=payload["d_emb"],
-                         hidden=payload["hidden"], n_layers=payload["n_layers"],
+            try:
+                return cls._from_archive(fh)
+            except CheckpointError as exc:
+                raise CheckpointError(f"{path}: {exc}") from None
+            except Exception as exc:  # whatever a malformed archive makes numpy or zipfile raise
+                raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+
+    @classmethod
+    def _from_archive(cls, fh) -> "QNetwork":
+        archive = np.load(fh, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile) or _CKPT_HEADER not in archive.files:
+            raise CheckpointError("not a checkpoint archive")
+        header = json.loads(str(archive[_CKPT_HEADER]))
+        if not isinstance(header, dict) or header.get("version") != _CKPT_VERSION:
+            raise CheckpointError("unsupported checkpoint version")
+        groups = header["vocab"]
+        if not (isinstance(groups, list) and len(groups) == 3
+                and all(isinstance(g, list) and all(isinstance(n, str) for n in g)
+                        for g in groups)):
+            raise CheckpointError("bad vocabulary")
+        vocab = Vocabulary(*(tuple(g) for g in groups))
+        dims = [header[k] for k in ("d_emb", "hidden", "n_layers")]
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise CheckpointError(f"bad network shape {dims}")
+        if header["dtype"] not in _CKPT_DTYPES:
+            raise CheckpointError(f"unsupported dtype {header['dtype']!r}")
+        dtype = np.dtype(header["dtype"])
+        net = cls.create(vocab, seed=0, d_emb=dims[0], hidden=dims[1], n_layers=dims[2],
                          dtype=dtype)
-        tensors = payload["tensors"]
         for p in net.parameters():
-            if p.name not in tensors:
-                raise CheckpointError(f"{path}: missing tensor {p.name}")
-            vals = np.asarray(tensors[p.name], dtype=dtype)
+            if p.name not in archive.files:
+                raise CheckpointError(f"missing tensor {p.name}")
+            vals = archive[p.name]
             if vals.shape != p.values.shape:
                 raise CheckpointError(
-                    f"{path}: tensor {p.name} has shape {vals.shape}, expected {p.values.shape}")
-            p.values[...] = vals
+                    f"tensor {p.name} has shape {vals.shape}, expected {p.values.shape}")
+            p.values[...] = vals.astype(dtype, casting="same_kind")
         return net
 
 

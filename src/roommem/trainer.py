@@ -60,8 +60,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.  Defaults are the full-scale settings;
-    desk() is the small preset meant to finish in seconds per run."""
+    """Training hyperparameters.  Defaults are the full-scale settings of
+    ``presets/paper.env``; desk() is the small ``presets/desk.env``, meant
+    to finish in seconds per run."""
 
     epochs: int = 16
     batch_size: int = 1024
@@ -81,10 +82,8 @@ class TrainConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
-        base = dict(epochs=4, batch_size=128, replay_size=16 * 128,
-                    warm_start=16 * 128, eps_last_step=128 * 4, precision=32)
-        base.update(overrides)
-        return cls(**base)
+        from .configio import load_preset  # configio imports this module
+        return dataclasses.replace(load_preset("desk.env").train, **overrides)
 
     def validate(self) -> None:
         for name in ("epochs", "batch_size", "replay_size", "warm_start",

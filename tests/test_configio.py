@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from roommem.configio import (
     AGENTS,
     ExperimentConfig,
     load_experiment,
+    load_preset,
     parse_config_text,
 )
 from roommem.env import ConfigError, EnvConfig
@@ -100,6 +103,27 @@ def test_packaged_presets_load_by_name():
     # same world, smaller optimization budget
     assert desk.env == paper.env
     assert desk.train.epochs < paper.train.epochs
+
+
+def test_packaged_paper_preset_is_the_dataclass_defaults():
+    paper = load_preset("paper.env")
+    assert paper.env == EnvConfig()
+    assert paper.train == TrainConfig()
+
+
+def test_packaged_include_ignores_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper.env").write_text("n_humans = 5\n")
+    assert load_experiment("desk.env").env.n_humans == 64
+    assert load_preset("desk.env").env.n_humans == 64
+
+
+def test_desk_train_config_is_the_packaged_preset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "desk.env").write_text("include = paper.env\nepochs = 99\n")
+    assert TrainConfig.desk() == load_preset("desk.env").train
+    assert TrainConfig.desk().epochs == 4
+    assert TrainConfig.desk(epochs=7) == dataclasses.replace(TrainConfig.desk(), epochs=7)
 
 
 def test_missing_file_raises():

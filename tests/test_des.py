@@ -36,11 +36,6 @@ def test_routine_validation():
         Routine((("a", 0),))
 
 
-def test_routine_unrolled():
-    r = Routine((("desk", 2), ("lap", 3)))
-    assert r.unrolled() == ("desk", "desk", "lap", "lap", "lap")
-
-
 def test_tick_follows_durations():
     """A solo human cycles through its routine, spending exactly the
     configured number of ticks in each segment."""

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv, SnapshotError
+from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv
 from roommem.kb import generate_synthetic_kb, write_kb
 from roommem.memory import strip_owner
 
@@ -159,34 +159,6 @@ def test_different_seed_different_episode(tiny_env):
     _, s1 = run_full_episode(env1, lambda e, q: None)
     _, s2 = run_full_episode(env2, lambda e, q: None)
     assert s1 != s2
-
-
-def test_snapshot_restore_resumes_identically(tiny_env):
-    cfg = dataclasses.replace(tiny_env, episode_length=24)
-    env = RoomEnv(cfg)
-    env.reset()
-    for _ in range(7):
-        env.step(None)
-    blob = env.snapshot()
-    clone = RoomEnv.restore(blob)
-    done = False
-    while not done:
-        a = env.step(None)
-        b = clone.step(None)
-        assert a == b
-        done = a[3]
-
-
-def test_snapshot_before_reset_raises(tiny_env):
-    with pytest.raises(EnvError):
-        RoomEnv(tiny_env).snapshot()
-
-
-def test_restore_rejects_garbage():
-    with pytest.raises(SnapshotError):
-        RoomEnv.restore(b"not a snapshot")
-    with pytest.raises(SnapshotError):
-        RoomEnv.restore(b"ROOMMEMENV1\n\x00\x01garbage")
 
 
 def test_kb_path_is_used(tmp_path, tiny_env):

@@ -16,7 +16,6 @@ from roommem.nn import (
     lstm_backward_single,
     lstm_batch_backward,
     lstm_batch_forward,
-    lstm_forward,
     lstm_forward_cached,
     relu_backward,
     relu_forward,
@@ -159,11 +158,9 @@ def make_lstm_stack(rng, d_in, hidden, n_layers):
 def test_lstm_empty_sequence_is_zero_vector():
     rng = np.random.default_rng(4)
     layers = make_lstm_stack(rng, 3, 5, 2)
-    h = lstm_forward([], layers)
+    h, cache = lstm_forward_cached([], layers)
     assert h.shape == (5,)
-    assert np.all(h == 0.0)
-    h2, cache = lstm_forward_cached([], layers)
-    assert np.all(h2 == 0.0) and cache is None
+    assert np.all(h == 0.0) and cache is None
     dX = lstm_backward_single(cache, layers, np.ones(5))
     assert dX.shape == (0, 3)
     assert all(np.all(p.grad == 0.0) for layer in layers for p in layer.parameters())
@@ -178,13 +175,11 @@ def test_lstm_batch_agrees_with_single():
     T = max(s.shape[0] for s in seqs)
     B = len(seqs)
     X = np.zeros((T, B, 3))
-    mask = np.zeros((T, B, 1))
     for j, s in enumerate(seqs):
         X[: s.shape[0], j] = s
-        mask[: s.shape[0], j] = 1.0
-    H, _ = lstm_batch_forward(X, mask, layers)
+    H, _ = lstm_batch_forward(X, Packing([s.shape[0] for s in seqs]), layers)
     for j, s in enumerate(seqs):
-        h = lstm_forward(s, layers)
+        h, _ = lstm_forward_cached(s, layers, need_cache=False)
         assert np.allclose(H[j], h, atol=1e-12)
 
 
@@ -200,16 +195,17 @@ def test_lstm_gradient_fd():
         for j, L in enumerate(lengths):
             mask[:L, j] = 1.0
         X = X * mask  # padding stays zero, as in real use
+        pack = Packing(lengths)
         dh = rng.normal(size=(B, hidden))
 
-        H, caches = lstm_batch_forward(X, mask, layers, need_cache=True)
-        dX = lstm_batch_backward(caches, layers, mask, dh)
+        H, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
+        dX = lstm_batch_backward(caches, layers, pack, dh)
         params = [p for layer in layers for p in layer.parameters()]
 
         def loss_with(tensor, values):
             saved = tensor.values.copy()
             tensor.values[...] = values
-            out, _ = lstm_batch_forward(X, mask, layers)
+            out, _ = lstm_batch_forward(X, pack, layers)
             tensor.values[...] = saved
             return float((out * dh).sum())
 
@@ -218,7 +214,7 @@ def test_lstm_gradient_fd():
             assert max_relative_error(p.grad, fd) < TOL, (trial, p.name)
 
         def loss_x(Xv):
-            out, _ = lstm_batch_forward(Xv, mask, layers)
+            out, _ = lstm_batch_forward(Xv, pack, layers)
             return float((out * dh).sum())
 
         fd_x = fd_gradient(loss_x, X.copy())
@@ -238,10 +234,10 @@ def test_lstm_single_backward_matches_batch():
         for p in layer.parameters():
             p.zero_grad()
     X = seq[:, None, :]
-    mask = np.ones((5, 1, 1))
-    H, caches = lstm_batch_forward(X, mask, layers, need_cache=True)
+    pack = Packing([5])
+    H, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
     assert np.allclose(H[0], h)
-    dX_b = lstm_batch_backward(caches, layers, mask, dh[None, :])
+    dX_b = lstm_batch_backward(caches, layers, pack, dh[None, :])
     grads_batch = [p.grad.copy() for layer in layers for p in layer.parameters()]
     for a, b in zip(grads_single, grads_batch):
         assert np.allclose(a, b, atol=1e-12)
@@ -295,24 +291,9 @@ def test_packed_kernel_matches_masked_reference(dtype):
     assert np.all(dX[mask[..., 0] == 0.0] == 0.0)
 
 
-def test_kernel_takes_a_mask_or_a_packing_alike():
-    rng = np.random.default_rng(13)
-    layers = make_lstm_stack(rng, 3, 4, 2)
-    lengths, X, mask = _random_batch(rng, np.float64, 3, 6, 5)
-    h_mask, _ = lstm_batch_forward(X, mask, layers)
-    h_pack, _ = lstm_batch_forward(X, Packing(lengths), layers)
-    assert np.array_equal(h_mask, h_pack)
-
-
 def test_packing_rejects_bad_lengths():
     with pytest.raises(ValueError):
         Packing([2, -1])
-    with pytest.raises(ValueError):
-        Packing([3, 1], steps=2)
-    holey = np.ones((3, 1, 1))
-    holey[1] = 0.0
-    with pytest.raises(ValueError):
-        Packing.from_mask(holey)
     layers = make_lstm_stack(np.random.default_rng(0), 3, 4, 1)
     with pytest.raises(ValueError):
         lstm_batch_forward(np.zeros((4, 2, 3)), Packing([1, 2]), layers)

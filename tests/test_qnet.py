@@ -1,3 +1,6 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,57 @@ def test_load_rejects_truncated_payload(tmp_path, net):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
         QNetwork.load(path)
+
+
+def _rewrite_archive(path, edit):
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set_header(arrays, **changes):
+    header = json.loads(str(arrays["header"]))
+    header.update(changes)
+    arrays["header"] = np.array(json.dumps(header))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: _set_header(a, version=1),
+    lambda a: _set_header(a, dtype="|O"),
+    lambda a: _set_header(a, hidden=0),
+    lambda a: _set_header(a, vocab=[["Ann"], [1], []]),
+    lambda a: a.update(header=np.array("{not json")),
+    lambda a: a.pop("head1.w"),
+    lambda a: a.update({"head1.w": a["head1.w"][:, :-1]}),
+    lambda a: a.update({"head1.w": np.array([object()] * 3)}),
+], ids=["version", "dtype", "shape", "vocab", "json", "missing", "tensor_shape", "object"])
+def test_load_rejects_malformed_header_or_tensor(tmp_path, net, edit):
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    _rewrite_archive(path, edit)
+    with pytest.raises(CheckpointError):
+        QNetwork.load(path)
+
+
+class _TouchOnUnpickle:
+    """Unpickling this creates ``marker``: proof that code ran on load."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return open, (self.marker, "w")
+
+
+def test_load_never_unpickles_a_version_1_checkpoint(tmp_path):
+    marker = tmp_path / "ran"
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"ROOMMEMCKPT1\n" + pickle.dumps(_TouchOnUnpickle(marker)))
+    with pytest.raises(CheckpointError):
+        QNetwork.load(path)
+    assert not marker.exists()
 
 
 def test_greedy_action_takes_first_maximum():
