@@ -21,7 +21,6 @@ from .memory import (
 from .policies import (
     EpisodicOnly,
     GreedyQ,
-    PerfectAnswer,
     RandomPolicy,
     SemanticOnly,
     evaluate,

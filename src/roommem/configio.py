@@ -17,7 +17,7 @@ from .env import ConfigError, EnvConfig
 from .trainer import TrainConfig
 
 __all__ = ["AGENTS", "RL_AGENTS", "ExperimentConfig", "load_experiment",
-           "load_preset", "parse_config_text"]
+           "load_preset"]
 
 AGENTS = ("episodic-only", "semantic-only", "random", "rl-scratch",
           "rl-pretrained")
@@ -145,12 +145,6 @@ def _assemble(out: dict) -> ExperimentConfig:
                            train=TrainConfig(**train_kwargs), **exp_kwargs)
     cfg.validate()
     return cfg
-
-
-def parse_config_text(text: str, label: str = "<string>") -> ExperimentConfig:
-    out: dict = {}
-    _ingest_text(text, label, None, frozenset(), out)
-    return _assemble(out)
 
 
 def load_experiment(path: str) -> ExperimentConfig:

@@ -1,27 +1,29 @@
-"""Memory-management policies and the agent/environment episode loop.
+"""Memory-management policies and the one agent/environment episode loop.
 
 A policy sees the symbolic (short-term, episodic, semantic) snapshot after
 the step's observation has landed in short-term, and picks one of the three
-management actions.  The episode loop then applies the action, answers the
+management actions.  :func:`play` then applies the action, answers the
 pending question via retrieval, and feeds the answer to the environment.
-Order within a step is: observe, act, answer.
+Order within a step is: observe, act, answer.  Evaluation and traces
+(:func:`run_episode`) and replay collection (``trainer._collect_episode``)
+all consume the steps that :func:`play` yields.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .env import EnvConfig, Observation, Question, RoomEnv
+from .env import ConfigError, EnvConfig, Observation, Question, RoomEnv
 from .memory import (
     EPISODIC,
     SEMANTIC,
     SHORT_TERM,
     TO_EPISODIC,
     TO_SEMANTIC,
-    FORGET,
     N_ACTIONS,
     MemorySystem,
     Quadruple,
@@ -32,7 +34,6 @@ from .memory import (
     prefill_semantic,
     retrieve,
     snapshot_systems,
-    strip_owner,
 )
 from .qnet import QNetwork, greedy_action
 from .seeding import derive_seed
@@ -43,9 +44,10 @@ __all__ = [
     "SemanticOnly",
     "RandomPolicy",
     "GreedyQ",
-    "PerfectAnswer",
+    "Step",
     "StepRecord",
     "EpisodeTrace",
+    "play",
     "run_episode",
     "episode_totals",
     "evaluate",
@@ -56,10 +58,6 @@ VARIANTS = ("scratch", "pretrained")
 
 class Policy:
     """Decision rule over memory snapshots.  Subclasses override act()."""
-
-    #: when true, the episode loop answers from the environment's own record
-    #: instead of memory retrieval (upper-bound oracle)
-    answers_directly = False
 
     def act(self, state) -> tuple[int, np.ndarray | None]:
         """Return (action, q_values or None) for one snapshot."""
@@ -97,15 +95,21 @@ class GreedyQ(Policy):
         return greedy_action(q), q
 
 
-class PerfectAnswer(Policy):
-    """Answers straight from the environment's grading record; the memory
-    action is irrelevant, so it forgets.  Scores the per-episode maximum by
-    construction and pins down the reward plumbing."""
+class Step(NamedTuple):
+    """One environment step of :func:`play`.  ``state`` is the snapshot the
+    policy acted on; ``systems`` are the live (short-term, episodic,
+    semantic) stores after the action, current until play resumes."""
 
-    answers_directly = True
-
-    def act(self, state):
-        return FORGET, None
+    observation: Observation
+    question: Question
+    state: tuple
+    action: int
+    q_values: np.ndarray | None
+    retrieved: Quadruple | None
+    answer: str | None
+    reward: int
+    done: bool
+    systems: tuple[MemorySystem, MemorySystem, MemorySystem]
 
 
 @dataclass(frozen=True)
@@ -152,61 +156,59 @@ def _snapshot_lines(m_o, m_e, m_s) -> dict[str, tuple[str, ...]]:
     }
 
 
-def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, int],
-                variant: str = "scratch", seed: int | None = None,
-                trace: bool = False, snapshot_steps=(2, 86)):
-    """Play one full episode; returns (total reward, EpisodeTrace or None).
+def play(policy: Policy, env_config: EnvConfig, capacities: tuple[int, int],
+         variant: str = "scratch", seed: int | None = None):
+    """Play one full episode, yielding a :class:`Step` per environment step.
 
     ``capacities`` is (episodic, semantic); short-term is always 1.  ``seed``
-    overrides env_config.seed when given.  A zero-length episode has no
-    steps and no environment to build.
+    overrides env_config.seed when given.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if env_config.episode_length == 0:
-        return 0, (EpisodeTrace(()) if trace else None)
+        raise ConfigError(f"unknown variant {variant!r}")
     cfg = env_config if seed is None else dataclasses.replace(env_config, seed=seed)
     env = RoomEnv(cfg)
     obs, question = env.reset()
-    m_o = MemorySystem(SHORT_TERM, 1)
-    m_e = MemorySystem(EPISODIC, capacities[0])
-    m_s = MemorySystem(SEMANTIC, capacities[1])
+    systems = m_o, m_e, m_s = (MemorySystem(SHORT_TERM, 1),
+                               MemorySystem(EPISODIC, capacities[0]),
+                               MemorySystem(SEMANTIC, capacities[1]))
     if variant == "pretrained":
         prefill_semantic(m_s, env.kb)
-    total = 0
-    records: list[StepRecord] = []
-    snapshot_at = frozenset(snapshot_steps)
-    step_idx = 0
-    while True:
+    done = False
+    while not done:
         observe(m_o, obs)
         state = snapshot_systems(m_o, m_e, m_s)
         action, q = policy.act(state)
         apply_action(m_o, m_e, m_s, action)
-        if policy.answers_directly:
-            owner, _ = strip_owner(question.head)
-            retrieved = None
-            answer = env.last_observed_location(owner)
-        else:
-            retrieved = retrieve(question, m_e, m_s)
-            answer = answer_of(retrieved)
-        next_obs, next_q, reward, done = env.step(answer)
-        total += reward
+        retrieved = retrieve(question, m_e, m_s)
+        answer = answer_of(retrieved)
+        next_obs, next_question, reward, done = env.step(answer)
+        yield Step(obs, question, state, action, q, retrieved, answer, reward, done, systems)
+        obs, question = next_obs, next_question
+
+
+def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, int],
+                variant: str = "scratch", seed: int | None = None,
+                trace: bool = False, snapshot_steps=(2, 86)):
+    """Play one full episode; returns (total reward, EpisodeTrace or None).
+    Arguments as for :func:`play`.  A trace records every step, and the
+    post-action memories at ``snapshot_steps``."""
+    total = 0
+    records: list[StepRecord] = []
+    snapshot_at = frozenset(snapshot_steps)
+    for i, s in enumerate(play(policy, env_config, capacities, variant, seed)):
+        total += s.reward
         if trace:
             records.append(StepRecord(
-                step=step_idx,
-                observation=obs,
-                question=question,
-                action=action,
-                q_values=None if q is None else tuple(float(v) for v in q),
-                retrieved=retrieved,
-                answer=answer,
-                reward=reward,
-                memories=_snapshot_lines(m_o, m_e, m_s) if step_idx in snapshot_at else None,
+                step=i,
+                observation=s.observation,
+                question=s.question,
+                action=s.action,
+                q_values=None if s.q_values is None else tuple(float(v) for v in s.q_values),
+                retrieved=s.retrieved,
+                answer=s.answer,
+                reward=s.reward,
+                memories=_snapshot_lines(*s.systems) if i in snapshot_at else None,
             ))
-        step_idx += 1
-        if done:
-            break
-        obs, question = next_obs, next_q
     return total, (EpisodeTrace(tuple(records)) if trace else None)
 
 

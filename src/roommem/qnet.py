@@ -23,7 +23,6 @@ import numpy as np
 from .kb import KnowledgeBase
 from .memory import EPISODIC, SEMANTIC, SHORT_TERM, N_ACTIONS, strip_owner
 from .nn import (
-    Adam,
     GradientError,
     LstmLayer,
     ParamTensor,

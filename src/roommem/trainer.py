@@ -1,7 +1,8 @@
 """Deep Q-learning over the memory-management action space.
 
 One optimizer step per environment step; an epoch is one full episode.
-Replay is a FIFO ring that persists across epochs, warm-started with
+Experience comes from ``policies.play``, the episode loop evaluation uses
+too.  Replay is a FIFO ring that persists across epochs, warm-started with
 random-policy transitions before any optimization.  The target network is
 a frozen copy of the online network, re-synced every ``sync_every``
 optimizer steps.  After each epoch the online network is scored greedily on
@@ -19,20 +20,15 @@ import numpy as np
 from .env import ConfigError, EnvConfig, RoomEnv
 from .kb import KnowledgeBase
 from .memory import (
-    EPISODIC,
-    SEMANTIC,
-    SHORT_TERM,
     N_ACTIONS,
-    MemorySystem,
-    answer_of,
-    apply_action,
-    observe,
-    prefill_semantic,
-    retrieve,
+    apply_action,  # noqa: F401  perfbench/workloads.py wraps trainer.apply_action
+    observe,  # noqa: F401  perfbench/workloads.py wraps trainer.observe
+    prefill_semantic,  # noqa: F401  perfbench/workloads.py wraps trainer.prefill_semantic
+    retrieve,  # noqa: F401  perfbench/workloads.py wraps trainer.retrieve
     snapshot_systems,
 )
 from .nn import Adam, GradientError, huber_loss
-from .policies import VARIANTS, GreedyQ, evaluate
+from .policies import GreedyQ, Policy, evaluate, play
 from .qnet import QNetwork, Vocabulary, encode_state, greedy_action
 from .seeding import (
     ROLE_EXPLORE,
@@ -224,59 +220,52 @@ def build_vocabulary(env_config: EnvConfig) -> tuple[Vocabulary, KnowledgeBase]:
     return Vocabulary.build(env.human_names, env.kb), env.kb
 
 
+class _Selector(Policy):
+    """``select(state, enc)`` as a Policy; keeps the latest state's encoding."""
+
+    def __init__(self, vocab: Vocabulary, select):
+        self.vocab = vocab
+        self.select = select
+        self.enc = None
+
+    def act(self, state):
+        self.enc = encode_state(self.vocab, state)
+        return self.select(state, self.enc), None
+
+
 def _collect_episode(env_config: EnvConfig, env_seed: int, variant: str,
                      capacities: tuple[int, int], vocab: Vocabulary, select,
                      replay: ReplayBuffer, stop_size: int | None = None,
-                     after_step=None) -> int:
+                     after_step=None) -> None:
     """One episode of experience collection.  ``select(state, enc)`` picks
     the action; completed transitions go to ``replay``.  A transition's next
     state is the following step's post-observation snapshot; the final
     transition uses the post-action snapshot with done set.  When
     ``stop_size`` is given, returns as soon as the buffer reaches it."""
-    env = RoomEnv(dataclasses.replace(env_config, seed=env_seed))
-    obs, question = env.reset()
-    m_o = MemorySystem(SHORT_TERM, 1)
-    m_e = MemorySystem(EPISODIC, capacities[0])
-    m_s = MemorySystem(SEMANTIC, capacities[1])
-    if variant == "pretrained":
-        prefill_semantic(m_s, env.kb)
-    total = 0
-    pending = None  # (state, enc, action, reward) awaiting its next_state
-    while True:
-        observe(m_o, obs)
-        state = snapshot_systems(m_o, m_e, m_s)
-        enc = encode_state(vocab, state)
+    selector = _Selector(vocab, select)
+    pending = None  # (step, enc) awaiting its next_state
+    for step in play(selector, env_config, capacities, variant, env_seed):
+        enc = selector.enc
         if pending is not None:
-            p_state, p_enc, p_action, p_reward = pending
-            pending = None
-            replay.push(Transition(p_state, p_action, p_reward, state, False,
-                                   p_enc, enc))
+            prev, prev_enc = pending
+            replay.push(Transition(prev.state, prev.action, prev.reward, step.state, False,
+                                   prev_enc, enc))
             if stop_size is not None and len(replay) >= stop_size:
-                return total
-        action = select(state, enc)
-        apply_action(m_o, m_e, m_s, action)
-        answer = answer_of(retrieve(question, m_e, m_s))
-        next_obs, next_question, reward, done = env.step(answer)
-        total += reward
-        if done:
-            term = snapshot_systems(m_o, m_e, m_s)
-            replay.push(Transition(state, action, reward, term, True,
+                return
+        if step.done:
+            term = snapshot_systems(*step.systems)
+            replay.push(Transition(step.state, step.action, step.reward, term, True,
                                    enc, encode_state(vocab, term)))
-            if after_step is not None:
-                after_step()
-            return total
-        pending = (state, enc, action, reward)
+        else:
+            pending = (step, enc)
         if after_step is not None:
             after_step()
-        obs, question = next_obs, next_question
 
 
 def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
           train_config: TrainConfig, seed: int) -> TrainResult:
     """Full training run: warm start, epsilon-greedy collection with one
     optimizer step per environment step, per-epoch greedy validation."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     env_config.validate()
     train_config.validate()
     tc = train_config

@@ -7,14 +7,19 @@ from roommem.configio import (
     ExperimentConfig,
     load_experiment,
     load_preset,
-    parse_config_text,
 )
 from roommem.env import ConfigError, EnvConfig
 from roommem.trainer import TrainConfig
 
 
-def test_minimal_text_fills_defaults():
-    cfg = parse_config_text("n_humans = 6\nepochs = 2\n")
+def parse_text(tmp_path, text: str) -> ExperimentConfig:
+    path = tmp_path / "exp.env"
+    path.write_text(text)
+    return load_experiment(str(path))
+
+
+def test_minimal_text_fills_defaults(tmp_path):
+    cfg = parse_text(tmp_path, "n_humans = 6\nepochs = 2\n")
     assert cfg.env.n_humans == 6
     assert cfg.train.epochs == 2
     assert cfg.env.episode_length == EnvConfig().episode_length
@@ -23,7 +28,7 @@ def test_minimal_text_fills_defaults():
     assert cfg.out_dir == "runs"
 
 
-def test_comments_blanks_and_overrides():
+def test_comments_blanks_and_overrides(tmp_path):
     text = """
 # a comment
 n_humans = 8
@@ -32,13 +37,14 @@ n_humans = 12   # not a comment, part of the value? no: full-line only
 """
     # the trailing text makes the value non-numeric, so this line must fail
     with pytest.raises(ConfigError):
-        parse_config_text(text)
-    cfg = parse_config_text("n_humans = 8\nn_humans = 12\n")
+        parse_text(tmp_path, text)
+    cfg = parse_text(tmp_path, "n_humans = 8\nn_humans = 12\n")
     assert cfg.env.n_humans == 12
 
 
-def test_typed_values():
-    cfg = parse_config_text(
+def test_typed_values(tmp_path):
+    cfg = parse_text(
+        tmp_path,
         "p_commonsense = 0.25\nlr = 0.002\nroutine_segments = 3,7\n"
         "capacities = 2, 4\nseeds = 1,2,3\nagents = random, episodic-only\n"
         "kb_path =\n")
@@ -62,9 +68,9 @@ def test_typed_values():
     ("capacities = 4, 4", "distinct"),
     ("seeds = ", "non-empty"),
 ])
-def test_bad_lines_raise(line, fragment):
+def test_bad_lines_raise(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        parse_config_text(line + "\n")
+        parse_text(tmp_path, line + "\n")
 
 
 def test_error_names_file_and_line(tmp_path):

@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from roommem.env import EnvConfig
+from roommem.env import ConfigError, EnvConfig
 from roommem.memory import EPISODIC, SEMANTIC, SHORT_TERM, TO_EPISODIC, TO_SEMANTIC
 from roommem.policies import (
     EpisodicOnly,
     GreedyQ,
-    PerfectAnswer,
     RandomPolicy,
     SemanticOnly,
     evaluate,
@@ -34,10 +33,12 @@ def test_run_episode_reward_bounds(tiny_env):
 
 
 def test_zero_length_episode():
+    # the environment rejects the config, so there is no episode to play
     cfg = EnvConfig(episode_length=0)
-    assert run_episode(EpisodicOnly(), cfg, (4, 4)) == (0, None)
-    total, trace = run_episode(EpisodicOnly(), cfg, (4, 4), trace=True)
-    assert total == 0 and trace.records == ()
+    with pytest.raises(ConfigError):
+        run_episode(EpisodicOnly(), cfg, (4, 4))
+    with pytest.raises(ConfigError):
+        run_episode(EpisodicOnly(), cfg, (4, 4), trace=True)
 
 
 def test_unknown_variant_rejected(tiny_env):
@@ -53,10 +54,11 @@ def test_seed_argument_overrides_config(tiny_env):
 
 
 def test_perfect_answer_scores_every_step(tiny_env):
-    total, trace = run_episode(PerfectAnswer(), tiny_env, (0, 0), trace=True)
+    # episodic capacity covers every step, so every answer is the latest sighting
+    total, trace = run_episode(EpisodicOnly(), tiny_env, (tiny_env.episode_length, 0),
+                               trace=True)
     assert total == tiny_env.episode_length
     assert all(r.reward == 1 for r in trace.records)
-    assert all(r.retrieved is None for r in trace.records)
 
 
 def test_episodic_only_with_ample_capacity_is_perfect(tiny_env):
@@ -104,7 +106,8 @@ def test_greedy_q_traces_three_q_values(tiny_env):
 
 
 def test_evaluate_mean_and_population_std(tiny_env):
-    mean, std = evaluate(PerfectAnswer(), tiny_env, 4, seed=11, capacities=(0, 0))
+    mean, std = evaluate(EpisodicOnly(), tiny_env, 4, seed=11,
+                         capacities=(tiny_env.episode_length, 0))
     assert mean == tiny_env.episode_length
     assert std == 0.0
     # a single iteration always has zero spread

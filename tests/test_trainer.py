@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from roommem.env import ConfigError
-from roommem.memory import RELATION, Quadruple
+from roommem.memory import (
+    EPISODIC,
+    RELATION,
+    SEMANTIC,
+    SHORT_TERM,
+    TO_EPISODIC,
+    Quadruple,
+    memory_lines,
+)
 from roommem.nn import huber_loss
+from roommem.policies import EpisodicOnly, run_episode
 from roommem.qnet import QNetwork, Vocabulary, encode_state
 from roommem.seeding import derive_rng
 from roommem.trainer import (
@@ -232,6 +241,39 @@ def test_collect_stops_exactly_at_target_size(tiny_env):
     _collect_episode(tiny_env, 123, "scratch", (2, 2), vocab,
                      lambda s, e: int(rng.integers(3)), buf, stop_size=10)
     assert len(buf) == 10
+
+
+class ListReplay(list):
+    """Keeps every pushed transition, in order."""
+
+    push = list.append
+
+
+def test_collect_chains_transitions(tiny_env):
+    from roommem.trainer import _collect_episode
+
+    vocab, _ = build_vocabulary(tiny_env)
+    caps, seed, L = (2, 2), 123, tiny_env.episode_length
+    got = ListReplay()
+    _collect_episode(tiny_env, seed, "scratch", caps, vocab, lambda s, e: TO_EPISODIC, got)
+    assert len(got) == L
+    assert all(t.action == TO_EPISODIC for t in got)
+    for t, t_next in zip(got, got[1:]):
+        assert t.next_state == t_next.state
+    assert [t.done for t in got] == [False] * (L - 1) + [True]
+    for t in got:
+        for enc, snap in ((t.enc_state, t.state), (t.enc_next, t.next_state)):
+            assert all(np.array_equal(a, b) for a, b in zip(enc, encode_state(vocab, snap)))
+    # the same episode played by the evaluation path: equal rewards, and the
+    # terminal next_state is the last step's post-action memory
+    total, trace = run_episode(EpisodicOnly(), tiny_env, caps, seed=seed, trace=True,
+                               snapshot_steps=(L - 1,))
+    assert sum(t.reward for t in got) == total
+    assert [t.reward for t in got] == [r.reward for r in trace.records]
+    term = got[-1].next_state
+    assert trace.records[-1].memories == {
+        kind: tuple(memory_lines(kind, entries))
+        for kind, entries in zip((SHORT_TERM, EPISODIC, SEMANTIC), term)}
 
 
 def test_train_rejects_unknown_variant(tiny_env):
