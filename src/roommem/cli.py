@@ -7,13 +7,14 @@ deterministic given its inputs.  Exit codes: 0 success, 1 run failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .configio import RL_AGENTS, ExperimentConfig, load_experiment
+from .configio import RL_AGENTS, ExperimentConfig, agent_capacities, agent_variant, load_experiment
 from .des import DesError
 from .env import ConfigError
-from .harness import agent_capacities, atomic_write_text, run_cell, sweep
+from .harness import atomic_write_text, run_cell, sweep
 from .kb import KbError, generate_synthetic_kb, write_kb
 from .policies import GreedyQ, evaluate, run_episode
 from .qnet import CheckpointError, QNetwork
@@ -23,14 +24,28 @@ from .trainer import build_vocabulary, train
 __all__ = ["main", "entry"]
 
 
-def _single(values, what: str):
-    if len(values) != 1:
-        raise ConfigError(f"this command needs exactly one {what}, got {len(values)}")
-    return values[0]
+def _one_cell(args, rl_only: str | None = None):
+    """Config, agent, capacity and seed of a one-cell command; ``--seed`` is
+    validated like a config seed.  The command named ``rl_only`` needs an
+    rl agent."""
+    config = load_experiment(args.config)
+    for what, values in (("agent", config.agents), ("capacity", config.capacities)):
+        if len(values) != 1:
+            raise ConfigError(f"this command needs exactly one {what}, got {len(values)}")
+    (agent,), (capacity,) = config.agents, config.capacities
+    if rl_only and agent not in RL_AGENTS:
+        raise ConfigError(f"{rl_only} needs an rl agent, got {agent!r}")
+    seed = args.seed if args.seed is not None else config.seeds[0]
+    dataclasses.replace(config, seeds=(seed,)).validate()
+    return config, agent, capacity, seed
 
 
-def _load(args) -> ExperimentConfig:
-    return load_experiment(args.config)
+def _load_checkpoint(path: str, config: ExperimentConfig) -> QNetwork:
+    net = QNetwork.load(path)
+    vocab, _ = build_vocabulary(config.env)
+    if net.vocab != vocab:
+        raise CheckpointError("checkpoint vocabulary does not match this environment")
+    return net
 
 
 def _train_log_csv(result) -> str:
@@ -42,17 +57,11 @@ def _train_log_csv(result) -> str:
 
 
 def cmd_train(args) -> int:
-    config = _load(args)
-    agent = _single(config.agents, "agent")
-    if agent not in RL_AGENTS:
-        raise ConfigError(f"train needs an rl agent, got {agent!r}")
-    variant = agent.split("-", 1)[1]
-    capacity = _single(config.capacities, "capacity")
-    caps = agent_capacities(agent, capacity)
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    config, agent, capacity, seed = _one_cell(args, rl_only="train")
     out = Path(args.out if args.out else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(config.env, variant, caps, config.train, seed)
+    result = train(config.env, agent_variant(agent), agent_capacities(agent, capacity),
+                   config.train, seed)
     ckpt = out / "checkpoint.ckpt"
     result.net.save(ckpt)
     atomic_write_text(out / "train_log.csv", _train_log_csv(result))
@@ -62,21 +71,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load(args)
-    agent = _single(config.agents, "agent")
-    capacity = _single(config.capacities, "capacity")
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    config, agent, capacity, seed = _one_cell(args)
     if agent in RL_AGENTS:
         if not args.checkpoint:
             raise ConfigError(f"agent {agent!r} needs --checkpoint")
-        net = QNetwork.load(args.checkpoint)
-        vocab, _ = build_vocabulary(config.env)
-        if net.vocab != vocab:
-            raise CheckpointError("checkpoint vocabulary does not match this environment")
-        caps = agent_capacities(agent, capacity)
+        net = _load_checkpoint(args.checkpoint, config)
         mean, std = evaluate(GreedyQ(net), config.env, config.train.eval_iterations,
-                             derive_seed(seed, ROLE_TEST), caps,
-                             variant=agent.split("-", 1)[1])
+                             derive_seed(seed, ROLE_TEST), agent_capacities(agent, capacity),
+                             variant=agent_variant(agent))
     else:
         cell = run_cell(config.env, config.train, agent, capacity, seed)
         mean, std = cell.mean, cell.std
@@ -86,7 +88,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
+    config = load_experiment(args.config)
     out_dir = args.out if args.out else None
     results, any_failed = sweep(config, out_dir=out_dir, workers=args.workers)
     where = Path(out_dir if out_dir else config.out_dir)
@@ -96,21 +98,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = _load(args)
-    agent = _single(config.agents, "agent")
-    if agent not in RL_AGENTS:
-        raise ConfigError(f"trace needs an rl agent, got {agent!r}")
-    variant = agent.split("-", 1)[1]
-    capacity = _single(config.capacities, "capacity")
-    caps = agent_capacities(agent, capacity)
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    net = QNetwork.load(args.checkpoint)
-    vocab, _ = build_vocabulary(config.env)
-    if net.vocab != vocab:
-        raise CheckpointError("checkpoint vocabulary does not match this environment")
+    config, agent, capacity, seed = _one_cell(args, rl_only="trace")
+    net = _load_checkpoint(args.checkpoint, config)
     steps = tuple(int(s) for s in args.snapshot_steps.split(",") if s.strip())
-    total, trace = run_episode(GreedyQ(net), config.env, caps, variant=variant,
-                               seed=seed, trace=True, snapshot_steps=steps)
+    total, trace = run_episode(GreedyQ(net), config.env, agent_capacities(agent, capacity),
+                               variant=agent_variant(agent), seed=seed, trace=True,
+                               snapshot_steps=steps)
     out = Path(args.out if args.out else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.jsonl"

@@ -1,10 +1,11 @@
-"""Flat key=value experiment configs with preset includes.
+"""The compared agents, and flat key=value experiment configs with includes.
 
 One namespace covers environment, training, and experiment keys so a whole
-run is described by a single diff-able file.  ``include = name`` pulls in
-another file first (relative to the including file, else a packaged
-preset; inside a packaged preset, always a packaged preset); later lines
-override included ones.  Unknown keys are errors.
+run is described by a single diff-able file.  The keys are the fields of
+EnvConfig, TrainConfig and ExperimentConfig, each typed like its default.
+``include = name`` pulls in another file first (relative to the including
+file, else a packaged preset; inside a packaged preset, always a packaged
+preset); later lines override included ones.  Unknown keys are errors.
 """
 from __future__ import annotations
 
@@ -12,19 +13,54 @@ import dataclasses
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .env import ConfigError, EnvConfig
 from .trainer import TrainConfig
 
-__all__ = ["AGENTS", "RL_AGENTS", "ExperimentConfig", "load_experiment",
-           "load_preset"]
+__all__ = ["AGENTS", "RL_AGENTS", "ExperimentConfig", "agent_capacities",
+           "agent_variant", "load_experiment", "load_preset"]
 
-AGENTS = ("episodic-only", "semantic-only", "random", "rl-scratch",
-          "rl-pretrained")
-RL_AGENTS = ("rl-scratch", "rl-pretrained")
 
-_ENV_FIELDS = {f.name for f in dataclasses.fields(EnvConfig)}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+class _Agent(NamedTuple):
+    variant: str                # how its episodes start: "scratch" or "pretrained"
+    systems: tuple[int, int]    # long-term systems it stores into: (episodic, semantic)
+    trained: bool               # a DQN trained before it is scored
+
+
+# The compared agents, in the order results are reported.  An agent's total
+# capacity is split evenly over the long-term systems it stores into.
+_AGENT_TABLE = {
+    "episodic-only": _Agent("scratch", (1, 0), False),
+    "semantic-only": _Agent("scratch", (0, 1), False),
+    "random": _Agent("scratch", (1, 1), False),
+    "rl-scratch": _Agent("scratch", (1, 1), True),
+    "rl-pretrained": _Agent("pretrained", (1, 1), True),
+}
+AGENTS = tuple(_AGENT_TABLE)
+RL_AGENTS = tuple(a for a, spec in _AGENT_TABLE.items() if spec.trained)
+
+
+def _agent(name: str) -> _Agent:
+    try:
+        return _AGENT_TABLE[name]
+    except KeyError:
+        raise ConfigError(f"unknown agent {name!r}; choices: {', '.join(AGENTS)}") from None
+
+
+def agent_variant(agent: str) -> str:
+    return _agent(agent).variant
+
+
+def agent_capacities(agent: str, total: int) -> tuple[int, int]:
+    """(episodic, semantic) capacities for an agent's total budget."""
+    systems = _agent(agent).systems
+    if total < 1:
+        raise ConfigError("total capacity must be positive")
+    share, rest = divmod(total, sum(systems))
+    if rest:
+        raise ConfigError(f"agent {agent!r} needs an even total capacity, got {total}")
+    return share * systems[0], share * systems[1]
 
 
 @dataclass(frozen=True)
@@ -41,52 +77,41 @@ class ExperimentConfig:
         self.train.validate()
         if not self.agents:
             raise ConfigError("agents must be non-empty")
-        for a in self.agents:
-            if a not in AGENTS:
-                raise ConfigError(f"unknown agent {a!r}; choices: {', '.join(AGENTS)}")
-        if len(set(self.agents)) != len(self.agents):
-            raise ConfigError("agents must be distinct")
         if not self.capacities:
             raise ConfigError("capacities must be non-empty")
-        if any(c < 1 for c in self.capacities):
-            raise ConfigError("capacities must be positive")
+        for agent in self.agents:  # unknown agents, non-positive or unsplittable capacities
+            for capacity in self.capacities:
+                agent_capacities(agent, capacity)
+        if len(set(self.agents)) != len(self.agents):
+            raise ConfigError("agents must be distinct")
         if len(set(self.capacities)) != len(self.capacities):
             raise ConfigError("capacities must be distinct")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
 
 
-def _scalar(key: str, raw: str, typ, where: str):
+# every config key: field name -> (zone, default)
+_KEYS = {f.name: (zone, f.default)
+         for zone, cls in (("env", EnvConfig), ("train", TrainConfig), ("exp", ExperimentConfig))
+         for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _parse(key: str, raw: str, default, where: str):
+    """Typed like ``default``: a tuple is a comma list, None an optional string."""
+    if default is None:
+        return raw or None
+    if isinstance(default, tuple):
+        return tuple(_parse(key, p.strip(), default[0], where)
+                     for p in raw.split(",") if p.strip())
+    typ = type(default)
     try:
         return typ(raw)
     except ValueError:
         raise ConfigError(f"{where}: key {key!r} needs a {typ.__name__}, got {raw!r}") from None
-
-
-def _int_list(key: str, raw: str, where: str) -> tuple[int, ...]:
-    return tuple(_scalar(key, p.strip(), int, where)
-                 for p in raw.split(",") if p.strip())
-
-
-def _env_value(name: str, raw: str, where: str):
-    if name in ("routine_segments", "routine_durations"):
-        pair = _int_list(name, raw, where)
-        if len(pair) != 2:
-            raise ConfigError(f"{where}: key {name!r} needs two comma-separated integers")
-        return pair
-    if name == "kb_path":
-        return raw or None
-    if name == "p_commonsense":
-        return _scalar(name, raw, float, where)
-    return _scalar(name, raw, int, where)
-
-
-def _train_value(name: str, raw: str, where: str):
-    if name in ("eps_start", "eps_end", "gamma", "lr"):
-        return _scalar(name, raw, float, where)
-    return _scalar(name, raw, int, where)
 
 
 _PRESETS = resources.files("roommem") / "presets"
@@ -107,16 +132,8 @@ def _ingest_text(text: str, label: str, base_dir, seen: frozenset, out: dict) ->
         where = f"{label}:{lineno}"
         if key == "include":
             _ingest_file(raw, base_dir, seen, out)
-        elif key in _ENV_FIELDS:
-            out[key] = ("env", _env_value(key, raw, where))
-        elif key in _TRAIN_FIELDS:
-            out[key] = ("train", _train_value(key, raw, where))
-        elif key == "agents":
-            out[key] = ("exp", tuple(p.strip() for p in raw.split(",") if p.strip()))
-        elif key in ("capacities", "seeds"):
-            out[key] = ("exp", _int_list(key, raw, where))
-        elif key == "out_dir":
-            out[key] = ("exp", raw)
+        elif key in _KEYS:
+            out[key] = _parse(key, raw, _KEYS[key][1], where)
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
@@ -138,9 +155,9 @@ def _ingest_file(path_or_name: str, base_dir, seen: frozenset, out: dict) -> Non
 
 
 def _assemble(out: dict) -> ExperimentConfig:
-    env_kwargs = {k: v for k, (zone, v) in out.items() if zone == "env"}
-    train_kwargs = {k: v for k, (zone, v) in out.items() if zone == "train"}
-    exp_kwargs = {k: v for k, (zone, v) in out.items() if zone == "exp"}
+    env_kwargs = {k: v for k, v in out.items() if _KEYS[k][0] == "env"}
+    train_kwargs = {k: v for k, v in out.items() if _KEYS[k][0] == "train"}
+    exp_kwargs = {k: v for k, v in out.items() if _KEYS[k][0] == "exp"}
     cfg = ExperimentConfig(env=EnvConfig(**env_kwargs),
                            train=TrainConfig(**train_kwargs), **exp_kwargs)
     cfg.validate()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .des import build_room, tick, true_location
-from .kb import generate_synthetic_kb, load_kb
+from .kb import KnowledgeBase, generate_synthetic_kb, load_kb
 from .memory import RELATION, format_head
 from .seeding import ROLE_DES, ROLE_QUESTIONS, derive_rng, derive_seed
 
@@ -23,6 +23,7 @@ __all__ = [
     "Observation",
     "Question",
     "RoomEnv",
+    "world_kb",
 ]
 
 class ConfigError(ValueError):
@@ -67,10 +68,24 @@ class EnvConfig:
             raise ConfigError("seeds must be non-negative")
         if self.location_capacity < 1:
             raise ConfigError("location_capacity must be at least 1")
-        s_lo, s_hi = self.routine_segments
-        d_lo, d_hi = self.routine_durations
+        pairs = (self.routine_segments, self.routine_durations)
+        if any(len(p) != 2 or not all(isinstance(v, int) for v in p) for p in pairs):
+            raise ConfigError("routine_segments and routine_durations need two "
+                              f"comma-separated integers, got {pairs!r}")
+        (s_lo, s_hi), (d_lo, d_hi) = pairs
         if not (1 <= s_lo <= s_hi and 1 <= d_lo <= d_hi):
             raise ConfigError("invalid routine ranges")
+
+
+def world_kb(config: EnvConfig) -> KnowledgeBase:
+    """The knowledge base at ``kb_path``, else the synthetic one of ``kb_seed``."""
+    if config.kb_path is None:
+        return generate_synthetic_kb(config.kb_seed, config.n_objects,
+                                     config.n_object_locations)
+    kb = load_kb(config.kb_path)
+    if len(kb.locations) < 2:
+        raise ConfigError(f"knowledge base {config.kb_path!r} has fewer than 2 locations")
+    return kb
 
 
 @dataclass(frozen=True)
@@ -105,16 +120,9 @@ class RoomEnv:
     def reset(self) -> tuple[Observation, Question]:
         """(Re)build everything from the config and deliver step 0."""
         cfg = self.config
-        if cfg.kb_path is not None:
-            kb = load_kb(cfg.kb_path)
-            if len(kb.locations) < 2:
-                raise ConfigError(
-                    f"knowledge base {cfg.kb_path!r} has fewer than 2 locations")
-        else:
-            kb = generate_synthetic_kb(cfg.kb_seed, cfg.n_objects, cfg.n_object_locations)
-        self.kb = kb
+        self.kb = world_kb(cfg)
         self._room = build_room(
-            kb, cfg.n_humans, cfg.p_commonsense,
+            self.kb, cfg.n_humans, cfg.p_commonsense,
             seed=derive_seed(cfg.seed, ROLE_DES),
             location_capacity=cfg.location_capacity,
             segment_range=cfg.routine_segments,
@@ -125,8 +133,6 @@ class RoomEnv:
         self._qrng = derive_rng(cfg.seed, ROLE_QUESTIONS)
         self._obs_count = 0
         self._grades = 0
-        self._observed: list[str] = []
-        self._observed_set: set[str] = set()
         self._ledger: dict[str, str] = {}
         self._done = False
         self._started = True
@@ -160,14 +166,12 @@ class RoomEnv:
         obs = Observation(format_head(h.name, h.obj), RELATION, loc, self._obs_count)
         self._obs_count += 1
         self._ledger[h.name] = loc
-        if h.name not in self._observed_set:
-            self._observed_set.add(h.name)
-            self._observed.append(h.name)
         return obs
 
     def _sample_question(self) -> Question:
-        i = int(self._qrng.integers(len(self._observed)))
-        human = self._observed[i]
+        # round-robin observation: the humans observed so far are a prefix
+        n_observed = min(self._obs_count, len(self.human_names))
+        human = self.human_names[int(self._qrng.integers(n_observed))]
         self._pending_human = human
         return Question(format_head(human, self.object_of[human]), RELATION)
 

@@ -1,9 +1,8 @@
 """Sweep orchestration: run agent x capacity x seed cells, aggregate CSVs.
 
-Single-system baselines get their whole capacity budget; agents that use
-both long-term systems split it evenly.  Cells are independent and may run
-in a process pool; aggregation sorts rows so output bytes never depend on
-completion order.  A failed cell is marked in the results and the sweep
+Each agent's capacity split and episode variant come from configio's agent
+table.  Cells are independent and may run in a process pool; aggregation
+sorts rows so output bytes never depend on completion order.  A failed cell is marked in the results and the sweep
 carries on.
 """
 from __future__ import annotations
@@ -15,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import AGENTS, ExperimentConfig
-from .env import ConfigError, EnvConfig
+from .configio import AGENTS, RL_AGENTS, ExperimentConfig, agent_capacities, agent_variant
+from .env import EnvConfig
 from .policies import (
     EpisodicOnly,
     GreedyQ,
@@ -31,22 +30,12 @@ from .trainer import TrainConfig, train
 __all__ = ["agent_capacities", "run_cell", "CellResult", "pool_size", "sweep",
            "write_results_csv", "write_summary_csv", "atomic_write_text"]
 
-_SPLIT_AGENTS = ("random", "rl-scratch", "rl-pretrained")
-
-
-def agent_capacities(agent: str, total: int) -> tuple[int, int]:
-    """(episodic, semantic) capacities for an agent's total budget."""
-    if total < 1:
-        raise ConfigError("total capacity must be positive")
-    if agent == "episodic-only":
-        return total, 0
-    if agent == "semantic-only":
-        return 0, total
-    if agent in _SPLIT_AGENTS:
-        if total % 2:
-            raise ConfigError(f"agent {agent!r} needs an even total capacity, got {total}")
-        return total // 2, total // 2
-    raise ConfigError(f"unknown agent {agent!r}")
+# the policy of each untrained agent, given its cell's seed
+_BASELINES = {
+    "episodic-only": lambda seed: EpisodicOnly(),
+    "semantic-only": lambda seed: SemanticOnly(),
+    "random": lambda seed: RandomPolicy(derive_rng(seed, ROLE_POLICY)),
+}
 
 
 @dataclass(frozen=True)
@@ -75,21 +64,13 @@ def run_cell(env_config: EnvConfig, train_config: TrainConfig, agent: str,
     """Evaluate one agent at one capacity with one seed.  RL agents are
     trained first; everything is scored on the same held-out seed stream."""
     caps = agent_capacities(agent, capacity)
-    test_seed = derive_seed(seed, ROLE_TEST)
-    n_iter = train_config.eval_iterations
-    if agent == "episodic-only":
-        policy, variant = EpisodicOnly(), "scratch"
-    elif agent == "semantic-only":
-        policy, variant = SemanticOnly(), "scratch"
-    elif agent == "random":
-        policy, variant = RandomPolicy(derive_rng(seed, ROLE_POLICY)), "scratch"
-    elif agent in ("rl-scratch", "rl-pretrained"):
-        variant = agent.split("-", 1)[1]
-        result = train(env_config, variant, caps, train_config, seed)
-        policy = GreedyQ(result.net)
+    variant = agent_variant(agent)
+    if agent in RL_AGENTS:
+        policy = GreedyQ(train(env_config, variant, caps, train_config, seed).net)
     else:
-        raise ConfigError(f"unknown agent {agent!r}")
-    totals = episode_totals(policy, env_config, n_iter, test_seed, caps, variant)
+        policy = _BASELINES[agent](seed)
+    totals = episode_totals(policy, env_config, train_config.eval_iterations,
+                            derive_seed(seed, ROLE_TEST), caps, variant)
     return CellResult(agent, capacity, seed, totals)
 
 

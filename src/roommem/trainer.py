@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import ConfigError, EnvConfig, RoomEnv
+from .des import human_names
+from .env import ConfigError, EnvConfig, world_kb
 from .kb import KnowledgeBase
 from .memory import (
     N_ACTIONS,
@@ -215,9 +216,8 @@ class TrainResult:
 
 def build_vocabulary(env_config: EnvConfig) -> tuple[Vocabulary, KnowledgeBase]:
     """The token space is a function of the world, not of any one episode."""
-    env = RoomEnv(env_config)
-    env.reset()
-    return Vocabulary.build(env.human_names, env.kb), env.kb
+    kb = world_kb(env_config)
+    return Vocabulary.build(human_names(env_config.n_humans), kb), kb
 
 
 class _Selector(Policy):

@@ -134,8 +134,27 @@ def test_sweep_and_rerun_byte_identical(tmp_path, capsys):
 
 
 def test_sweep_reports_failed_cells_with_exit_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "agents = random\ncapacities = 3\n")
+    # the config is valid; the knowledge-base file is missing when cells run
+    cfg = write_cfg(tmp_path, "agents = random\ncapacities = 4\n"
+                    f"kb_path = {tmp_path / 'missing.tsv'}\n")
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "1 failed" in capsys.readouterr().out
     assert "failed" in (out / "results.csv").read_text()
+
+
+def test_sweep_rejects_odd_split_capacity_before_any_cell(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "agents = episodic-only, random\ncapacities = 3\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "even total" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "agents = episodic-only\ncapacities = 4\n")
+    assert main(["eval", "--config", cfg, "--seed", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    bad = write_cfg(tmp_path, "seeds = -1\n", name="bad.env")
+    assert main(["sweep", "--config", bad, "--out", str(tmp_path / "sweep")]) == 2
+    assert "non-negative" in capsys.readouterr().err

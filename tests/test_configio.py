@@ -4,7 +4,9 @@ import pytest
 
 from roommem.configio import (
     AGENTS,
+    RL_AGENTS,
     ExperimentConfig,
+    agent_variant,
     load_experiment,
     load_preset,
 )
@@ -67,6 +69,8 @@ def test_typed_values(tmp_path):
     ("capacities = 4, 0", "positive"),
     ("capacities = 4, 4", "distinct"),
     ("seeds = ", "non-empty"),
+    ("seeds = 0, -1", "non-negative"),
+    ("capacities = 2, 3", "even total"),
 ])
 def test_bad_lines_raise(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -158,3 +162,51 @@ def test_validate_checks_agent_names():
                            agents=("random", "random"))
     with pytest.raises(ConfigError, match="distinct"):
         cfg.validate()
+
+
+def test_validate_rejects_odd_capacity_for_split_agents():
+    ExperimentConfig(env=EnvConfig(), train=TrainConfig(),
+                     agents=("episodic-only", "semantic-only"), capacities=(3,)).validate()
+    cfg = ExperimentConfig(env=EnvConfig(), train=TrainConfig(),
+                           agents=("episodic-only", "random"), capacities=(4, 3))
+    with pytest.raises(ConfigError, match="even total"):
+        cfg.validate()
+
+
+def test_agent_table():
+    assert AGENTS == ("episodic-only", "semantic-only", "random", "rl-scratch",
+                      "rl-pretrained")
+    assert RL_AGENTS == ("rl-scratch", "rl-pretrained")
+    assert [agent_variant(a) for a in AGENTS] == ["scratch"] * 4 + ["pretrained"]
+    with pytest.raises(ConfigError, match="unknown agent"):
+        agent_variant("psychic")
+
+
+# every field a config file may set: field name -> (owning class, default)
+SCHEMA = {f.name: (cls, f.default)
+          for cls in (EnvConfig, TrainConfig, ExperimentConfig)
+          for f in dataclasses.fields(cls) if f.name not in ("env", "train")}
+
+
+def _as_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _parsed(cfg: ExperimentConfig, key: str):
+    cls = SCHEMA[key][0]
+    return getattr({EnvConfig: cfg.env, TrainConfig: cfg.train}.get(cls, cfg), key)
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_every_field_is_a_config_key(tmp_path, key):
+    default = SCHEMA[key][1]
+    assert _parsed(parse_text(tmp_path, f"{key} = {_as_text(default)}\n"), key) == default
+
+
+@pytest.mark.parametrize("key", [k for k, (_, d) in SCHEMA.items() if isinstance(d, float)])
+def test_every_float_field_accepts_a_fraction(tmp_path, key):
+    assert _parsed(parse_text(tmp_path, f"{key} = 0.5\n"), key) == 0.5

@@ -210,6 +210,9 @@ def test_kb_seed_decoupled_from_env_seed(tiny_env):
     ("location_capacity", 0),
     ("routine_segments", (0, 2)),
     ("routine_durations", (2, 1)),
+    ("routine_segments", (1, 2, 3)),
+    ("routine_durations", (2,)),
+    ("routine_segments", (1, "2")),
 ])
 def test_config_validation(tiny_env, field, value):
     cfg = dataclasses.replace(tiny_env, **{field: value})

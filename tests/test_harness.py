@@ -121,11 +121,15 @@ def test_sweep_rerun_is_byte_identical(tiny_env, tmp_path):
     assert (tmp_path / "out" / "summary.csv").read_bytes() == first_sum
 
 
-def test_sweep_marks_failed_cells_and_continues(tiny_env, tmp_path):
-    # odd total capacity is fine for single-system agents but not for the
-    # even-split ones, so exactly the random cells fail
+def test_sweep_marks_failed_cells_and_continues(tiny_env, tmp_path, monkeypatch):
+    # a failure no config check can see: the random policy cannot be built,
+    # so exactly the random cells fail
+    def broken_policy(rng):
+        raise ConfigError("no random policy today")
+
+    monkeypatch.setattr("roommem.harness.RandomPolicy", broken_policy)
     cfg = _tiny_experiment(tiny_env, tmp_path,
-                           agents=("episodic-only", "random"), capacities=(3,))
+                           agents=("episodic-only", "random"), capacities=(4,))
     results, any_failed = sweep(cfg)
     assert any_failed
     by_agent = {r.agent: r for r in results}
@@ -133,7 +137,7 @@ def test_sweep_marks_failed_cells_and_continues(tiny_env, tmp_path):
     assert by_agent["random"].failed
     assert "ConfigError" in by_agent["random"].error
     txt = (tmp_path / "out" / "results.csv").read_text()
-    assert "random,3,0,failed,failed" in txt
+    assert "random,4,0,failed,failed" in txt
     summary = (tmp_path / "out" / "summary.csv").read_text()
     assert "random,failed" in summary
 

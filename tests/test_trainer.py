@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from roommem.env import ConfigError
+from roommem.env import ConfigError, RoomEnv
+from roommem.kb import write_kb
 from roommem.memory import (
     EPISODIC,
     RELATION,
@@ -209,6 +210,16 @@ def test_build_vocabulary_is_stable_across_seeds(tiny_env):
     v2, kb2 = build_vocabulary(dataclasses.replace(tiny_env, seed=tiny_env.seed + 9))
     assert v1 == v2
     assert kb1 == kb2
+
+
+def test_build_vocabulary_matches_a_built_room(tiny_env, small_kb, tmp_path):
+    write_kb(small_kb, tmp_path / "kb.tsv")
+    for cfg in (tiny_env, dataclasses.replace(tiny_env, kb_path=str(tmp_path / "kb.tsv"))):
+        env = RoomEnv(cfg)
+        env.reset()
+        vocab, kb = build_vocabulary(cfg)
+        assert kb == env.kb
+        assert vocab == Vocabulary.build(env.human_names, env.kb)
 
 
 def test_train_warm_start_fills_exactly_and_runs(tiny_env):
