@@ -100,16 +100,24 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     config, agent, capacity, seed = _one_cell(args, rl_only="trace")
     net = _load_checkpoint(args.checkpoint, config)
-    steps = tuple(int(s) for s in args.snapshot_steps.split(",") if s.strip())
     total, trace = run_episode(GreedyQ(net), config.env, agent_capacities(agent, capacity),
                                variant=agent_variant(agent), seed=seed, trace=True,
-                               snapshot_steps=steps)
+                               snapshot_steps=args.snapshot_steps)
     out = Path(args.out if args.out else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.jsonl"
     atomic_write_text(path, trace.to_jsonl())
     print(f"total_reward={total} records={len(trace.records)} trace={path}")
     return 0
+
+
+def _step_list(text: str) -> tuple[int, ...]:
+    """``--snapshot-steps``: comma-separated step numbers, checked before any work."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_gen_kb(args) -> int:
@@ -149,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--checkpoint", required=True)
     p_trace.add_argument("--seed", type=int, default=None)
     p_trace.add_argument("--out", default=None)
-    p_trace.add_argument("--snapshot-steps", default="2,86")
+    p_trace.add_argument("--snapshot-steps", type=_step_list, default="2,86")
     p_trace.set_defaults(func=cmd_trace)
 
     p_kb = sub.add_parser("gen-kb", help="write a synthetic knowledge-base TSV")

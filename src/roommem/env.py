@@ -75,6 +75,16 @@ class EnvConfig:
         (s_lo, s_hi), (d_lo, d_hi) = pairs
         if not (1 <= s_lo <= s_hi and 1 <= d_lo <= d_hi):
             raise ConfigError("invalid routine ranges")
+        if self.kb_path is None:  # a synthetic KB has exactly n_object_locations
+            _check_seats(self, self.n_object_locations)
+
+
+def _check_seats(config: EnvConfig, n_locations: int) -> None:
+    """The room places every human at a location with room left, so the
+    world must hold all of them."""
+    if config.n_humans > n_locations * config.location_capacity:
+        raise ConfigError(f"{config.n_humans} humans do not fit in {n_locations} locations "
+                          f"of capacity {config.location_capacity}")
 
 
 def world_kb(config: EnvConfig) -> KnowledgeBase:
@@ -85,6 +95,7 @@ def world_kb(config: EnvConfig) -> KnowledgeBase:
     kb = load_kb(config.kb_path)
     if len(kb.locations) < 2:
         raise ConfigError(f"knowledge base {config.kb_path!r} has fewer than 2 locations")
+    _check_seats(config, len(kb.locations))
     return kb
 
 

@@ -182,8 +182,8 @@ class Packing:
         if min(lengths, default=0) < 0:
             raise ValueError("sequence lengths must be non-negative")
         B = len(lengths)
-        # per-sample bookkeeping in Python ints: at the B=1 of a greedy
-        # decision that is cheaper than numpy calls
+        # per-sample bookkeeping in Python ints: at the B=1 to B=10 of
+        # greedy decisions that is cheaper than numpy calls
         order = sorted(range(B), key=lengths.__getitem__, reverse=True)  # stable
         longest = lengths[order[0]] if B else 0
         ends = [0] * (longest + 1)

@@ -4,9 +4,12 @@ A policy sees the symbolic (short-term, episodic, semantic) snapshot after
 the step's observation has landed in short-term, and picks one of the three
 management actions.  :func:`play` then applies the action, answers the
 pending question via retrieval, and feeds the answer to the environment.
-Order within a step is: observe, act, answer.  Evaluation and traces
-(:func:`run_episode`) and replay collection (``trainer._collect_episode``)
-all consume the steps that :func:`play` yields.
+Order within a step is: observe, act, answer.  :func:`play` runs a list of
+seeds in lockstep, one :meth:`Policy.act_batch` call per time step across
+its episodes, so a Q-network policy decides a step's states in one batched
+forward.  Evaluation (:func:`episode_totals`), traces (:func:`run_episode`)
+and replay collection (``trainer._collect_episode``) all consume the steps
+that :func:`play` yields.
 """
 from __future__ import annotations
 
@@ -57,11 +60,16 @@ VARIANTS = ("scratch", "pretrained")
 
 
 class Policy:
-    """Decision rule over memory snapshots.  Subclasses override act()."""
+    """Decision rule over memory snapshots.  Subclasses override act(), and
+    act_batch() when deciding many snapshots at once is cheaper."""
 
     def act(self, state) -> tuple[int, np.ndarray | None]:
         """Return (action, q_values or None) for one snapshot."""
         raise NotImplementedError
+
+    def act_batch(self, states) -> list[tuple[int, np.ndarray | None]]:
+        """act() on each snapshot, in order."""
+        return [self.act(state) for state in states]
 
 
 class EpisodicOnly(Policy):
@@ -90,9 +98,16 @@ class GreedyQ(Policy):
     def __init__(self, net: QNetwork):
         self.net = net
 
-    def act(self, state):
-        q = self.net.forward(state)
+    def act(self, state, q=None):
+        """``q``, when given, is the state's Q-values from a batched forward."""
+        if q is None:
+            q = self.net.forward(state)
         return greedy_action(q), q
+
+    def act_batch(self, states):
+        """One forward over every state; each decision still goes through act()."""
+        q = self.net.forward_states(states)
+        return [self.act(state, row) for state, row in zip(states, q)]
 
 
 class Step(NamedTuple):
@@ -157,33 +172,47 @@ def _snapshot_lines(m_o, m_e, m_s) -> dict[str, tuple[str, ...]]:
 
 
 def play(policy: Policy, env_config: EnvConfig, capacities: tuple[int, int],
-         variant: str = "scratch", seed: int | None = None):
-    """Play one full episode, yielding a :class:`Step` per environment step.
+         variant: str = "scratch", seeds=(None,)):
+    """Play one episode per seed in lockstep, yielding per environment step
+    a tuple with one :class:`Step` per episode, in seed order.
 
-    ``capacities`` is (episodic, semantic); short-term is always 1.  ``seed``
-    overrides env_config.seed when given.
+    ``capacities`` is (episodic, semantic); short-term is always 1.  A seed
+    overrides env_config.seed unless it is None.  Each step makes one
+    :meth:`Policy.act_batch` call over every episode's snapshot.  Every
+    episode lasts ``episode_length`` steps, so all of them end together.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    cfg = env_config if seed is None else dataclasses.replace(env_config, seed=seed)
-    env = RoomEnv(cfg)
-    obs, question = env.reset()
-    systems = m_o, m_e, m_s = (MemorySystem(SHORT_TERM, 1),
-                               MemorySystem(EPISODIC, capacities[0]),
-                               MemorySystem(SEMANTIC, capacities[1]))
-    if variant == "pretrained":
-        prefill_semantic(m_s, env.kb)
-    done = False
+    envs, pending, systems = [], [], []
+    for seed in seeds:
+        env = RoomEnv(env_config if seed is None else dataclasses.replace(env_config, seed=seed))
+        envs.append(env)
+        pending.append(env.reset())
+        systems.append((MemorySystem(SHORT_TERM, 1),
+                        MemorySystem(EPISODIC, capacities[0]),
+                        MemorySystem(SEMANTIC, capacities[1])))
+        if variant == "pretrained":
+            prefill_semantic(systems[-1][2], env.kb)
+    done = not envs  # no seeds, no steps
     while not done:
-        observe(m_o, obs)
-        state = snapshot_systems(m_o, m_e, m_s)
-        action, q = policy.act(state)
-        apply_action(m_o, m_e, m_s, action)
-        retrieved = retrieve(question, m_e, m_s)
-        answer = answer_of(retrieved)
-        next_obs, next_question, reward, done = env.step(answer)
-        yield Step(obs, question, state, action, q, retrieved, answer, reward, done, systems)
-        obs, question = next_obs, next_question
+        states = []
+        for (obs, _), (m_o, m_e, m_s) in zip(pending, systems):
+            observe(m_o, obs)
+            states.append(snapshot_systems(m_o, m_e, m_s))
+        decisions = policy.act_batch(states)
+        steps = []
+        for i, env in enumerate(envs):
+            obs, question = pending[i]
+            m_o, m_e, m_s = systems[i]
+            action, q = decisions[i]
+            apply_action(m_o, m_e, m_s, action)
+            retrieved = retrieve(question, m_e, m_s)
+            answer = answer_of(retrieved)
+            next_obs, next_question, reward, done = env.step(answer)
+            steps.append(Step(obs, question, states[i], action, q, retrieved, answer, reward,
+                              done, systems[i]))
+            pending[i] = next_obs, next_question
+        yield tuple(steps)
 
 
 def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, int],
@@ -195,7 +224,7 @@ def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, in
     total = 0
     records: list[StepRecord] = []
     snapshot_at = frozenset(snapshot_steps)
-    for i, s in enumerate(play(policy, env_config, capacities, variant, seed)):
+    for i, (s,) in enumerate(play(policy, env_config, capacities, variant, (seed,))):
         total += s.reward
         if trace:
             records.append(StepRecord(
@@ -215,10 +244,16 @@ def run_episode(policy: Policy, env_config: EnvConfig, capacities: tuple[int, in
 def episode_totals(policy: Policy, env_config: EnvConfig, n_iterations: int, seed: int,
                    capacities: tuple[int, int], variant: str = "scratch") -> tuple[int, ...]:
     """Total reward of each of n_iterations episodes, episode i on seed
-    ``derive_seed(seed, i)``."""
-    return tuple(run_episode(policy, env_config, capacities, variant=variant,
-                             seed=derive_seed(seed, i))[0]
-                 for i in range(n_iterations))
+    ``derive_seed(seed, i)``.  A policy that overrides act_batch() plays them
+    all in lockstep; any other plays them one after another, which keeps the
+    draw order of a generator shared across episodes."""
+    seeds = [derive_seed(seed, i) for i in range(n_iterations)]
+    if type(policy).act_batch is Policy.act_batch:
+        return tuple(run_episode(policy, env_config, capacities, variant, s)[0] for s in seeds)
+    totals = [0] * n_iterations
+    for steps in play(policy, env_config, capacities, variant, seeds):
+        totals = [t + s.reward for t, s in zip(totals, steps)]
+    return tuple(totals)
 
 
 def evaluate(policy: Policy, env_config: EnvConfig, n_iterations: int, seed: int,

@@ -257,8 +257,12 @@ class QNetwork:
 
     def forward(self, state) -> np.ndarray:
         """Q-values for one (short, episodic, semantic) snapshot."""
-        enc = encode_state(self.vocab, state)
-        return self.forward_encoded(enc)
+        return self.forward_states([state])[0]
+
+    def forward_states(self, states) -> np.ndarray:
+        """Q-values (B, A) for a list of snapshots, in one batched forward."""
+        q, _ = self.forward_batch([encode_state(self.vocab, s) for s in states])
+        return q
 
     def forward_encoded(self, enc) -> np.ndarray:
         q, _ = self.forward_batch([enc], need_cache=False)

@@ -244,7 +244,7 @@ def _collect_episode(env_config: EnvConfig, env_seed: int, variant: str,
     ``stop_size`` is given, returns as soon as the buffer reaches it."""
     selector = _Selector(vocab, select)
     pending = None  # (step, enc) awaiting its next_state
-    for step in play(selector, env_config, capacities, variant, env_seed):
+    for (step,) in play(selector, env_config, capacities, variant, (env_seed,)):
         enc = selector.enc
         if pending is not None:
             prev, prev_enc = pending

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from roommem.cli import main
 from roommem.kb import generate_synthetic_kb, load_kb
 
@@ -158,3 +160,25 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     bad = write_cfg(tmp_path, "seeds = -1\n", name="bad.env")
     assert main(["sweep", "--config", bad, "--out", str(tmp_path / "sweep")]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_world_too_small_for_its_humans(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "agents = episodic-only\ncapacities = 4\n"
+                    "n_humans = 50\nlocation_capacity = 2\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "do not fit" in capsys.readouterr().err
+    assert not out.exists()
+    # 6 locations of capacity 2 seat exactly 12 humans
+    edge = write_cfg(tmp_path, "agents = episodic-only\ncapacities = 4\n"
+                     "n_humans = 12\nlocation_capacity = 2\n", name="edge.env")
+    assert main(["sweep", "--config", edge, "--out", str(out)]) == 0
+
+
+def test_trace_rejects_malformed_snapshot_steps_before_any_work(tmp_path, capsys):
+    # neither file exists: a parser error is the only way to exit before reading them
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--config", str(tmp_path / "none.env"), "--checkpoint",
+              str(tmp_path / "none.ckpt"), "--snapshot-steps", "a,2"])
+    assert exc.value.code == 2
+    assert "--snapshot-steps" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv
+from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv, world_kb
 from roommem.kb import generate_synthetic_kb, write_kb
 from roommem.memory import strip_owner
 
@@ -190,6 +190,23 @@ def test_kb_path_with_one_location_raises(tmp_path, tiny_env):
     env = RoomEnv(dataclasses.replace(tiny_env, kb_path=str(path)))
     with pytest.raises(ConfigError):
         env.reset()
+
+
+def test_world_must_seat_every_human(tmp_path, tiny_env):
+    # 6 locations of capacity 2 seat 12 humans: the boundary loads, one more is refused
+    full = dataclasses.replace(tiny_env, n_humans=12, location_capacity=2)
+    full.validate()
+    RoomEnv(full).reset()
+    with pytest.raises(ConfigError, match="do not fit"):
+        dataclasses.replace(full, n_humans=13).validate()
+    # a file's location count is known once it loads, so the KB load checks it
+    path = str(tmp_path / "kb.tsv")
+    write_kb(generate_synthetic_kb(99, 5, 3), path)
+    crowded = dataclasses.replace(full, kb_path=path)
+    crowded.validate()
+    with pytest.raises(ConfigError, match="do not fit"):
+        world_kb(crowded)
+    world_kb(dataclasses.replace(crowded, n_humans=6))
 
 
 def test_kb_seed_decoupled_from_env_seed(tiny_env):

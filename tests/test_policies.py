@@ -11,11 +11,13 @@ from roommem.policies import (
     GreedyQ,
     RandomPolicy,
     SemanticOnly,
+    episode_totals,
     evaluate,
+    play,
     run_episode,
 )
 from roommem.qnet import QNetwork
-from roommem.seeding import derive_rng
+from roommem.seeding import derive_rng, derive_seed
 from roommem.trainer import build_vocabulary
 
 
@@ -151,3 +153,69 @@ def test_pretrained_variant_prefills_semantic(tiny_env):
     assert len(pre.records[0].memories[SEMANTIC]) > 0
     assert any(r.answer is not None for r in pre.records)
     assert all(r.answer is None for r in scratch.records)
+
+
+# -- lockstep evaluation ------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["scratch", "pretrained"])
+def test_lockstep_greedy_matches_one_episode_at_a_time(tiny_env, dtype, variant):
+    vocab, _ = build_vocabulary(tiny_env)
+    policy = GreedyQ(QNetwork.create(vocab, seed=5, d_emb=4, hidden=6, dtype=dtype))
+    seeds = [derive_seed(21, i) for i in range(5)]
+    totals = episode_totals(policy, tiny_env, 5, 21, (4, 4), variant)
+    assert totals == tuple(run_episode(policy, tiny_env, (4, 4), variant, s)[0] for s in seeds)
+    assert episode_totals(policy, tiny_env, 0, 21, (4, 4), variant) == ()
+
+    def outcome(step):
+        return step.action, step.reward, step.answer
+
+    lockstep = list(play(policy, tiny_env, (4, 4), variant, seeds))
+    assert len(lockstep) == tiny_env.episode_length
+    for i, s in enumerate(seeds):
+        alone = [step for (step,) in play(policy, tiny_env, (4, 4), variant, (s,))]
+        assert [outcome(steps[i]) for steps in lockstep] == [outcome(a) for a in alone]
+        # a batched matmul may sum in another order than a B=1 one
+        np.testing.assert_allclose([steps[i].q_values for steps in lockstep],
+                                   [a.q_values for a in alone],
+                                   rtol=0, atol=16 * np.finfo(dtype).eps)
+
+
+def test_random_policy_keeps_its_sequential_draw_order(tiny_env):
+    # one generator across the episodes, drawn episode after episode; these
+    # totals were recorded before lockstep evaluation existed
+    totals = episode_totals(RandomPolicy(derive_rng(5, 6)), tiny_env, 6, 13, (2, 2))
+    assert totals == (10, 8, 14, 13, 10, 8)
+    # drawing step by step across the episodes would give other totals
+    interleaved = [0] * 6
+    for steps in play(RandomPolicy(derive_rng(5, 6)), tiny_env, (2, 2),
+                      seeds=[derive_seed(13, i) for i in range(6)]):
+        interleaved = [t + s.reward for t, s in zip(interleaved, steps)]
+    assert tuple(interleaved) != totals
+
+
+def test_greedy_evaluation_runs_one_forward_per_time_step(tiny_env, monkeypatch):
+    # N episodes of L steps: L batched forwards, and N * L decisions, each
+    # through GreedyQ.act with the state as its first argument
+    vocab, _ = build_vocabulary(tiny_env)
+    policy = GreedyQ(QNetwork.create(vocab, seed=5, d_emb=4, hidden=6))
+    calls = {"forward_batch": [], "act": []}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            result = inner(self, *args, **kwargs)
+            calls[name].append((args, result))
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(QNetwork, "forward_batch")
+    counted(GreedyQ, "act")
+    n = 7
+    evaluate(policy, tiny_env, n, seed=4, capacities=(4, 4))
+    L = tiny_env.episode_length
+    assert len(calls["forward_batch"]) == L
+    assert all(len(args[0]) == n for args, _ in calls["forward_batch"])
+    assert len(calls["act"]) == n * L
+    assert all(len(args[0]) == 3 and result[0] in (0, 1, 2) for args, result in calls["act"])
