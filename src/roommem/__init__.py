@@ -1,6 +1,6 @@
 """Room-simulation agents with bounded episodic and semantic memory."""
 
-from .env import ConfigError, EnvConfig, Observation, Question, RoomEnv
+from .env import ConfigError, EnvConfig, Question, RoomEnv
 from .kb import KbError, KnowledgeBase, commonsense_location, generate_synthetic_kb, load_kb, write_kb
 from .memory import (
     EPISODIC,

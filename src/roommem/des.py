@@ -8,19 +8,17 @@ per tick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import KnowledgeBase, commonsense_location
+from .kb import KnowledgeBase, commonsense_location, numbered_words
 
 __all__ = [
     "DesError",
     "Routine",
     "Human",
     "RoomState",
-    "MoveEvent",
     "human_names",
     "build_room",
     "tick",
@@ -51,13 +49,7 @@ def human_names(n: int) -> tuple[str, ...]:
     Names never contain apostrophes, which keeps owner-qualified heads like
     "Bob's laptop" parseable.
     """
-    out = []
-    for i in range(n):
-        if i < len(_HUMAN_NAMES):
-            out.append(_HUMAN_NAMES[i])
-        else:
-            out.append(f"{_HUMAN_NAMES[i % len(_HUMAN_NAMES)]}{i // len(_HUMAN_NAMES) + 1}")
-    return tuple(out)
+    return numbered_words(_HUMAN_NAMES, n)
 
 
 @dataclass(frozen=True)
@@ -83,20 +75,12 @@ class Human:
     steps_in_seg: int = 0   # ticks spent in the scheduled segment so far
 
 
-class MoveEvent(NamedTuple):
-    human: str
-    obj: str
-    old_location: str
-    new_location: str
-
-
 @dataclass
 class RoomState:
     humans: list[Human]
     current_location: dict[str, str]
     occupancy: dict[str, int]
     location_capacity: int
-    timestep: int = 0
 
 
 def build_room(
@@ -104,9 +88,9 @@ def build_room(
     n_humans: int,
     p_commonsense: float,
     seed: int,
-    location_capacity: int = 8,
-    segment_range: tuple[int, int] = (2, 5),
-    duration_range: tuple[int, int] = (1, 4),
+    location_capacity: int,
+    segment_range: tuple[int, int],
+    duration_range: tuple[int, int],
 ) -> RoomState:
     """Sample humans, routines and initial placements, deterministically in `seed`.
 
@@ -166,16 +150,14 @@ def build_room(
     return RoomState(humans, current, occupancy, location_capacity)
 
 
-def tick(room: RoomState) -> list[MoveEvent]:
-    """Advance one tick; returns the object moves that actually happened.
+def tick(room: RoomState) -> None:
+    """Advance one tick.
 
     Humans are processed in fixed creation order.  On a segment boundary the
     human tries the new segment's location, then subsequent segments in
     routine order, and failing all of them stays put.  The schedule phase
     advances regardless of whether the move succeeded.
     """
-    room.timestep += 1
-    events: list[MoveEvent] = []
     for h in room.humans:
         segments = h.routine.segments
         h.steps_in_seg += 1
@@ -187,14 +169,12 @@ def tick(room: RoomState) -> list[MoveEvent]:
         for j in range(len(segments)):
             target = segments[(h.seg + j) % len(segments)][0]
             if target == old:
-                break  # staying put counts as success, no event
+                break  # staying put counts as success
             if room.occupancy[target] < room.location_capacity:
                 room.occupancy[old] -= 1
                 room.occupancy[target] += 1
                 room.current_location[h.name] = target
-                events.append(MoveEvent(h.name, h.obj, old, target))
                 break
-    return events
 
 
 def true_location(room: RoomState, human: str) -> str:

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .des import build_room, tick, true_location
+from .des import build_room, human_names, tick, true_location
 from .kb import KnowledgeBase, generate_synthetic_kb, load_kb
-from .memory import RELATION, format_head
+from .memory import RELATION, Quadruple, format_head
 from .seeding import ROLE_DES, ROLE_QUESTIONS, derive_rng, derive_seed
 
 __all__ = [
     "ConfigError",
     "EnvError",
     "EnvConfig",
-    "Observation",
     "Question",
     "RoomEnv",
     "world_kb",
@@ -96,15 +95,11 @@ def world_kb(config: EnvConfig) -> KnowledgeBase:
     if len(kb.locations) < 2:
         raise ConfigError(f"knowledge base {config.kb_path!r} has fewer than 2 locations")
     _check_seats(config, len(kb.locations))
+    clashes = set(human_names(config.n_humans)) & set(kb.objects + kb.locations)
+    if clashes:
+        raise ConfigError(f"knowledge base {config.kb_path!r} names objects or locations "
+                          f"like humans: {sorted(clashes)}")
     return kb
-
-
-@dataclass(frozen=True)
-class Observation:
-    head: str        # "Bob's laptop"
-    relation: str    # always "AtLocation"
-    tail: str        # location name
-    timestamp: int   # environment step that produced this observation
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class RoomEnv:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def reset(self) -> tuple[Observation, Question]:
+    def reset(self) -> tuple[Quadruple, Question]:
         """(Re)build everything from the config and deliver step 0."""
         cfg = self.config
         self.kb = world_kb(cfg)
@@ -144,6 +139,7 @@ class RoomEnv:
         self._qrng = derive_rng(cfg.seed, ROLE_QUESTIONS)
         self._obs_count = 0
         self._grades = 0
+        # answers are graded on where the asked-about human was last observed
         self._ledger: dict[str, str] = {}
         self._done = False
         self._started = True
@@ -152,7 +148,7 @@ class RoomEnv:
         question = self._sample_question()
         return obs, question
 
-    def step(self, answer: str | None) -> tuple[Observation | None, Question | None, int, bool]:
+    def step(self, answer: str | None) -> tuple[Quadruple | None, Question | None, int, bool]:
         """Grade `answer` for the pending question, then advance the room."""
         if not self._started:
             raise EnvError("call reset() before step()")
@@ -170,11 +166,13 @@ class RoomEnv:
 
     # -- internals -----------------------------------------------------------
 
-    def _observe_next(self) -> Observation:
+    def _observe_next(self) -> Quadruple:
+        """Where the next human in round-robin order has its object now; the
+        quadruple's value is the step's timestamp."""
         room = self._room
         h = room.humans[self._obs_count % len(room.humans)]
         loc = true_location(room, h.name)
-        obs = Observation(format_head(h.name, h.obj), RELATION, loc, self._obs_count)
+        obs = Quadruple(format_head(h.name, h.obj), RELATION, loc, self._obs_count)
         self._obs_count += 1
         self._ledger[h.name] = loc
         return obs
@@ -185,13 +183,3 @@ class RoomEnv:
         human = self.human_names[int(self._qrng.integers(n_observed))]
         self._pending_human = human
         return Question(format_head(human, self.object_of[human]), RELATION)
-
-    # -- oracles -------------------------------------------------------------
-
-    def last_observed_location(self, human: str) -> str:
-        """Grading ledger: where the human's object was at its most recent
-        observation.  This, not the live room, is what answers are graded on."""
-        try:
-            return self._ledger[human]
-        except KeyError:
-            raise EnvError(f"human {human!r} has not been observed yet") from None

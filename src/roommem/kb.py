@@ -41,8 +41,9 @@ _LOCATION_WORDS = (
 )
 
 
-def _vocab_words(base: tuple[str, ...], n: int) -> tuple[str, ...]:
-    # past the base list, recycle words with a numeric suffix ("bowl2", ...)
+def numbered_words(base: tuple[str, ...], n: int) -> tuple[str, ...]:
+    """First `n` words of `base`; past its end, the words recur with a
+    numeric suffix ("bowl2", ...)."""
     out = []
     for i in range(n):
         if i < len(base):
@@ -74,6 +75,8 @@ class KnowledgeBase:
         if len(set(self.locations)) != len(self.locations):
             raise KbError("duplicate location names")
         oset, lset = set(self.objects), set(self.locations)
+        if oset & lset:
+            raise KbError(f"names used as both object and location: {sorted(oset & lset)}")
         seen: set[tuple[str, str]] = set()
         covered: set[str] = set()
         for obj, loc, w in self.edges:
@@ -173,8 +176,8 @@ def generate_synthetic_kb(seed: int, n_objects: int, n_locations: int) -> Knowle
         raise KbError("n_objects must be at least 1")
     if n_locations < 2:
         raise KbError("n_locations must be at least 2")
-    objects = _vocab_words(_OBJECT_WORDS, n_objects)
-    locations = _vocab_words(_LOCATION_WORDS, n_locations)
+    objects = numbered_words(_OBJECT_WORDS, n_objects)
+    locations = numbered_words(_LOCATION_WORDS, n_locations)
     rng = np.random.default_rng(int(seed))
     edges: list[tuple[str, str, float]] = []
     for obj in objects:

@@ -105,16 +105,13 @@ def strip_owner(head: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def observe(m_o: MemorySystem, obs) -> None:
+def observe(m_o: MemorySystem, obs: Quadruple) -> None:
     """Stage an observation in short-term memory; full short-term is an error."""
     if m_o.kind != SHORT_TERM:
         raise ValueError("observe targets the short-term system")
     if m_o.is_full():
         raise CapacityError("short-term memory is full")
-    if isinstance(obs, Quadruple):
-        m_o.entries.append(obs)
-    else:
-        m_o.entries.append(Quadruple(obs.head, obs.relation, obs.tail, obs.timestamp))
+    m_o.entries.append(obs)
 
 
 def _evict_weakest(entries: list[Quadruple]) -> None:

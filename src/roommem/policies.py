@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ConfigError, EnvConfig, Observation, Question, RoomEnv
+from .env import ConfigError, EnvConfig, Question, RoomEnv
 from .memory import (
     EPISODIC,
     SEMANTIC,
@@ -115,7 +115,7 @@ class Step(NamedTuple):
     policy acted on; ``systems`` are the live (short-term, episodic,
     semantic) stores after the action, current until play resumes."""
 
-    observation: Observation
+    observation: Quadruple
     question: Question
     state: tuple
     action: int
@@ -130,7 +130,7 @@ class Step(NamedTuple):
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    observation: Observation
+    observation: Quadruple
     question: Question
     action: int
     q_values: tuple[float, ...] | None
@@ -143,7 +143,7 @@ class StepRecord:
         payload = {
             "step": self.step,
             "observation": [self.observation.head, self.observation.relation,
-                            self.observation.tail, self.observation.timestamp],
+                            self.observation.tail, self.observation.value],
             "question": [self.question.head, self.question.relation],
             "action": self.action,
             "q_values": None if self.q_values is None else [float(v) for v in self.q_values],

@@ -290,13 +290,12 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
         episode += 1
 
     explore_rng = derive_rng(seed, ROLE_EXPLORE)
-    global_step = 0
-    opt_steps = 0
+    opt_steps = 0  # one per environment step, so it is also the epsilon schedule's position
     logs: list[EpochLog] = []
     best: tuple[float, int, list[np.ndarray], float] | None = None
 
     def select(state, enc):
-        eps = epsilon_at(global_step, tc)
+        eps = epsilon_at(opt_steps, tc)
         if explore_rng.random() < eps:
             return int(explore_rng.integers(N_ACTIONS))
         return greedy_action(online.forward_encoded(enc))
@@ -306,12 +305,11 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
         losses: list[float] = []
 
         def optimize():
-            nonlocal global_step, opt_steps
+            nonlocal opt_steps
             losses.append(td_loss(replay.sample(tc.batch_size), online, target,
                                   tc.gamma))
             optimizer.step()
             opt_steps += 1
-            global_step += 1
             if opt_steps % tc.sync_every == 0:
                 target.copy_values_from(online)
 
@@ -327,7 +325,7 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
             train_loss_mean=float(np.mean(losses)) if losses else 0.0,
             val_reward_mean=val_mean,
             val_reward_std=val_std,
-            epsilon_end=epsilon_at(global_step, tc),
+            epsilon_end=epsilon_at(opt_steps, tc),
             wall_seconds=time.perf_counter() - t0,
         ))
         if best is None or val_mean > best[0]:

@@ -29,6 +29,12 @@ def oracle_retrieve(question_head, episodic_entries, semantic_entries):
     return [e for e in cands if e.value == best_val][-1]
 
 
+def observed_locations(stream, question_head):
+    """Tails of the observations in ``stream`` ((observation, question) pairs
+    in step order) whose head is ``question_head``, oldest first."""
+    return [obs.tail for obs, _ in stream if obs.head == question_head]
+
+
 def random_memory_state(rng, max_size=64):
     """Random episodic/semantic systems with deliberately heavy value and
     head collisions so tie paths get exercised."""

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roommem
 from roommem.cli import main
 from roommem.kb import generate_synthetic_kb, load_kb
 
@@ -182,3 +187,24 @@ def test_trace_rejects_malformed_snapshot_steps_before_any_work(tmp_path, capsys
               str(tmp_path / "none.ckpt"), "--snapshot-steps", "a,2"])
     assert exc.value.code == 2
     assert "--snapshot-steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["desk\tdesk\t1.0\nbowl\tshelf\t2.0\n",
+                                  "Alice\tshelf\t1.0\nbowl\tdesk\t2.0\n"])
+def test_train_rejects_a_kb_file_with_clashing_names(tmp_path, capsys, rows):
+    # an object named like a location, or a thing named like a human
+    kb = tmp_path / "kb.tsv"
+    kb.write_text(rows)
+    cfg = write_cfg(tmp_path, f"agents = rl-scratch\ncapacities = 4\nkb_path = {kb}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(roommem.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "roommem.cli", "eval"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "--config" in proc.stderr

@@ -2,19 +2,23 @@ import dataclasses
 
 import pytest
 
+from roommem.des import human_names
 from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv, world_kb
 from roommem.kb import generate_synthetic_kb, write_kb
 from roommem.memory import strip_owner
 
+from .oracles import observed_locations
+
 
 def run_full_episode(env, answer_fn):
-    """Drive one episode; answer_fn(env, question) -> answer string or None."""
+    """Drive one episode; answer_fn(stream, question) -> answer string or
+    None, where stream is the (observation, question) pairs so far."""
     obs, q = env.reset()
     total = 0
     stream = [(obs, q)]
     done = False
     while not done:
-        obs, q, r, done = env.step(answer_fn(env, stream[-1][1]))
+        obs, q, r, done = env.step(answer_fn(stream, stream[-1][1]))
         total += r
         if not done:
             stream.append((obs, q))
@@ -24,7 +28,7 @@ def run_full_episode(env, answer_fn):
 def test_reset_delivers_step_zero(tiny_env):
     env = RoomEnv(tiny_env)
     obs, q = env.reset()
-    assert obs.timestamp == 0
+    assert obs.value == 0
     assert obs.relation == "AtLocation"
     owner, obj = strip_owner(obs.head)
     assert owner == env.human_names[0]
@@ -52,12 +56,12 @@ def test_observations_are_round_robin(tiny_env):
 def test_observation_timestamps_count_up(tiny_env):
     env = RoomEnv(tiny_env)
     obs, _ = env.reset()
-    stamps = [obs.timestamp]
+    stamps = [obs.value]
     done = False
     while not done:
         obs, _, _, done = env.step(None)
         if obs is not None:
-            stamps.append(obs.timestamp)
+            stamps.append(obs.value)
     assert stamps == list(range(tiny_env.episode_length))
 
 
@@ -76,19 +80,19 @@ def test_questions_only_about_observed_humans(tiny_env):
 
 
 def test_ledger_oracle_scores_full_marks(tiny_env):
-    """Answering from the grading ledger is exactly right every step."""
+    """Answers are graded on the latest observation of the asked-about
+    human, so answering from it is exactly right every step."""
     env = RoomEnv(tiny_env)
-    total, _ = run_full_episode(
-        env, lambda e, q: e.last_observed_location(strip_owner(q.head)[0]))
+    total, _ = run_full_episode(env, lambda s, q: observed_locations(s, q.head)[-1])
     assert total == tiny_env.episode_length
 
 
 def test_wrong_and_missing_answers_score_zero(tiny_env):
     env = RoomEnv(tiny_env)
-    total, _ = run_full_episode(env, lambda e, q: "no-such-place")
+    total, _ = run_full_episode(env, lambda s, q: "no-such-place")
     assert total == 0
     env = RoomEnv(tiny_env)
-    total, _ = run_full_episode(env, lambda e, q: None)
+    total, _ = run_full_episode(env, lambda s, q: None)
     assert total == 0
 
 
@@ -123,32 +127,20 @@ def test_step_before_reset_raises(tiny_env):
 
 
 def test_last_observed_location_tracks_reobservation(tiny_env):
+    """Over four rounds of observations, grading follows each human's latest
+    observation: the latest one scores full marks, the first one does not."""
     cfg = dataclasses.replace(tiny_env, episode_length=4 * tiny_env.n_humans)
-    env = RoomEnv(cfg)
-    obs, _ = env.reset()
-    first = env.human_names[0]
-    locs = [obs.tail]
-    done = False
-    while not done:
-        obs, _, _, done = env.step(None)
-        if obs is not None and strip_owner(obs.head)[0] == first:
-            locs.append(obs.tail)
-        if obs is not None:
-            assert env.last_observed_location(first) == locs[-1]
-
-
-def test_last_observed_location_unknown_human(tiny_env):
-    env = RoomEnv(tiny_env)
-    env.reset()
-    with pytest.raises(EnvError):
-        env.last_observed_location(env.human_names[-1])  # not yet observed
+    total, _ = run_full_episode(RoomEnv(cfg), lambda s, q: observed_locations(s, q.head)[-1])
+    assert total == cfg.episode_length
+    total, _ = run_full_episode(RoomEnv(cfg), lambda s, q: observed_locations(s, q.head)[0])
+    assert total < cfg.episode_length
 
 
 def test_same_seed_same_episode(tiny_env):
     streams = []
     for _ in range(2):
         env = RoomEnv(tiny_env)
-        _, stream = run_full_episode(env, lambda e, q: None)
+        _, stream = run_full_episode(env, lambda s, q: None)
         streams.append(stream)
     assert streams[0] == streams[1]
 
@@ -156,8 +148,8 @@ def test_same_seed_same_episode(tiny_env):
 def test_different_seed_different_episode(tiny_env):
     env1 = RoomEnv(tiny_env)
     env2 = RoomEnv(dataclasses.replace(tiny_env, seed=tiny_env.seed + 1))
-    _, s1 = run_full_episode(env1, lambda e, q: None)
-    _, s2 = run_full_episode(env2, lambda e, q: None)
+    _, s1 = run_full_episode(env1, lambda s, q: None)
+    _, s2 = run_full_episode(env2, lambda s, q: None)
     assert s1 != s2
 
 
@@ -207,6 +199,20 @@ def test_world_must_seat_every_human(tmp_path, tiny_env):
     with pytest.raises(ConfigError, match="do not fit"):
         world_kb(crowded)
     world_kb(dataclasses.replace(crowded, n_humans=6))
+
+
+def test_kb_file_must_not_name_things_like_humans(tmp_path, tiny_env):
+    path = tmp_path / "kb.tsv"
+    path.write_text("bowl\tdesk\t2.0\nAlice\tshelf\t1.0\n")
+    with pytest.raises(ConfigError, match="like humans"):
+        world_kb(dataclasses.replace(tiny_env, kb_path=str(path)))
+    # a suffixed name clashes only once the world has that many humans
+    assert "Alice2" in human_names(80)
+    path.write_text("bowl\tdesk\t2.0\nmug\tAlice2\t1.0\n")
+    world_kb(dataclasses.replace(tiny_env, kb_path=str(path)))
+    with pytest.raises(ConfigError, match="Alice2"):
+        world_kb(dataclasses.replace(tiny_env, kb_path=str(path), n_humans=80,
+                                     location_capacity=40))
 
 
 def test_kb_seed_decoupled_from_env_seed(tiny_env):

@@ -127,3 +127,6 @@ def test_kb_validation():
     # object with no edges at all
     with pytest.raises(KbError):
         KnowledgeBase(("x", "y"), ("a",), (("x", "a", 1.0),))
+    # a name that is both an object and a location is ambiguous
+    with pytest.raises(KbError, match="both object and location"):
+        KnowledgeBase(("desk",), ("desk", "a"), (("desk", "a", 1.0),))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from roommem.env import Observation, Question
+from roommem.env import Question
 from roommem.kb import generate_synthetic_kb
 from roommem.memory import (
     EPISODIC,
@@ -38,7 +38,7 @@ def systems(short_cap=1, epi_cap=4, sem_cap=4):
 
 
 def obs(human, obj, loc, t):
-    return Observation(format_head(human, obj), RELATION, loc, t)
+    return Quadruple(format_head(human, obj), RELATION, loc, t)
 
 
 def test_format_and_strip_owner_round_trip():
