@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .configio import RL_AGENTS, ExperimentConfig, agent_capacities, agent_variant, load_experiment
-from .des import DesError
 from .env import ConfigError
 from .harness import atomic_write_text, run_cell, sweep
 from .kb import KbError, generate_synthetic_kb, write_kb
@@ -174,7 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KbError, DesError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, KbError, CheckpointError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

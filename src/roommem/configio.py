@@ -144,8 +144,12 @@ def _ingest_file(path_or_name: str, base_dir, seen: frozenset, out: dict) -> Non
     if base_dir is not _PRESETS:
         candidate = (base_dir / path_or_name) if base_dir is not None else Path(path_or_name)
         if candidate.is_file():
-            _ingest_text(candidate.read_text(encoding="utf-8"), str(candidate),
-                         candidate.parent, seen, out)
+            try:
+                text = candidate.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{candidate}: not UTF-8 text ({exc.reason} at byte "
+                                  f"{exc.start})") from None
+            _ingest_text(text, str(candidate), candidate.parent, seen, out)
             return
     name = Path(path_or_name).name
     ref = _PRESETS / name

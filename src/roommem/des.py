@@ -9,25 +9,22 @@ per tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kb import KnowledgeBase, commonsense_location, numbered_words
 
+if TYPE_CHECKING:
+    from .env import EnvConfig
+
 __all__ = [
-    "DesError",
-    "Routine",
     "Human",
     "RoomState",
     "human_names",
     "build_room",
     "tick",
-    "true_location",
 ]
-
-
-class DesError(ValueError):
-    """Invalid simulation construction or query."""
 
 
 _HUMAN_NAMES = (
@@ -52,25 +49,12 @@ def human_names(n: int) -> tuple[str, ...]:
     return numbered_words(_HUMAN_NAMES, n)
 
 
-@dataclass(frozen=True)
-class Routine:
-    """Cyclic schedule: ((location, duration), ...), durations in ticks."""
-
-    segments: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise DesError("routine needs at least one segment")
-        for loc, dur in self.segments:
-            if dur < 1:
-                raise DesError(f"segment duration must be >= 1, got {dur}")
-
-
 @dataclass
 class Human:
     name: str
     obj: str
-    routine: Routine
+    segments: tuple[tuple[str, int], ...]  # cyclic routine: (location, duration in ticks)
+    location: str           # where the human, and so its object, is right now
     seg: int = 0            # scheduled segment index; advances even when a move is blocked
     steps_in_seg: int = 0   # ticks spent in the scheduled segment so far
 
@@ -78,76 +62,42 @@ class Human:
 @dataclass
 class RoomState:
     humans: list[Human]
-    current_location: dict[str, str]
     occupancy: dict[str, int]
     location_capacity: int
 
 
-def build_room(
-    kb: KnowledgeBase,
-    n_humans: int,
-    p_commonsense: float,
-    seed: int,
-    location_capacity: int,
-    segment_range: tuple[int, int],
-    duration_range: tuple[int, int],
-) -> RoomState:
+def build_room(kb: KnowledgeBase, config: EnvConfig, seed: int) -> RoomState:
     """Sample humans, routines and initial placements, deterministically in `seed`.
 
     Each routine segment sits at the owned object's commonsense location with
-    probability `p_commonsense`, otherwise uniformly at one of the other
-    locations.  Initial placement tries the human's segments in order and then
-    any location with room; a completely full room is an error.
+    probability `config.p_commonsense`, otherwise uniformly at one of the
+    other locations.  Each human starts at the first of its segments with
+    room, else the first location with room; a validated `config` with `kb`
+    from `env.world_kb` seats every human.
     """
-    if n_humans < 1:
-        raise DesError("n_humans must be at least 1")
-    if not 0.0 <= p_commonsense <= 1.0:
-        raise DesError("p_commonsense must be in [0, 1]")
-    if len(kb.locations) < 2:
-        raise DesError("need at least 2 locations")
-    if location_capacity < 1:
-        raise DesError("location_capacity must be at least 1")
-    s_lo, s_hi = segment_range
-    d_lo, d_hi = duration_range
-    if not (1 <= s_lo <= s_hi and 1 <= d_lo <= d_hi):
-        raise DesError("invalid routine segment/duration ranges")
-
+    (s_lo, s_hi), (d_lo, d_hi) = config.routine_segments, config.routine_durations
+    capacity = config.location_capacity
     rng = np.random.default_rng(int(seed))
-    names = human_names(n_humans)
+    occupancy = {loc: 0 for loc in kb.locations}
     humans: list[Human] = []
-    for name in names:
+    for name in human_names(config.n_humans):
         obj = kb.objects[int(rng.integers(len(kb.objects)))]
         common = commonsense_location(kb, obj)
         others = [loc for loc in kb.locations if loc != common]
         n_seg = int(rng.integers(s_lo, s_hi + 1))
         segments = []
         for _ in range(n_seg):
-            if rng.random() < p_commonsense:
+            if rng.random() < config.p_commonsense:
                 loc = common
             else:
                 loc = others[int(rng.integers(len(others)))]
             dur = int(rng.integers(d_lo, d_hi + 1))
             segments.append((loc, dur))
-        humans.append(Human(name, obj, Routine(tuple(segments))))
-
-    occupancy = {loc: 0 for loc in kb.locations}
-    current: dict[str, str] = {}
-    for h in humans:
-        placed = None
-        for loc, _ in h.routine.segments:
-            if occupancy[loc] < location_capacity:
-                placed = loc
-                break
-        if placed is None:
-            for loc in kb.locations:
-                if occupancy[loc] < location_capacity:
-                    placed = loc
-                    break
-        if placed is None:
-            raise DesError("not enough location capacity to place all humans")
-        occupancy[placed] += 1
-        current[h.name] = placed
-    return RoomState(humans, current, occupancy, location_capacity)
+        candidates = [loc for loc, _ in segments] + list(kb.locations)
+        start = next(loc for loc in candidates if occupancy[loc] < capacity)
+        occupancy[start] += 1
+        humans.append(Human(name, obj, tuple(segments), start))
+    return RoomState(humans, occupancy, capacity)
 
 
 def tick(room: RoomState) -> None:
@@ -159,13 +109,13 @@ def tick(room: RoomState) -> None:
     advances regardless of whether the move succeeded.
     """
     for h in room.humans:
-        segments = h.routine.segments
+        segments = h.segments
         h.steps_in_seg += 1
         if h.steps_in_seg <= segments[h.seg][1]:
             continue
         h.seg = (h.seg + 1) % len(segments)
         h.steps_in_seg = 1
-        old = room.current_location[h.name]
+        old = h.location
         for j in range(len(segments)):
             target = segments[(h.seg + j) % len(segments)][0]
             if target == old:
@@ -173,13 +123,6 @@ def tick(room: RoomState) -> None:
             if room.occupancy[target] < room.location_capacity:
                 room.occupancy[old] -= 1
                 room.occupancy[target] += 1
-                room.current_location[h.name] = target
+                h.location = target
                 break
 
-
-def true_location(room: RoomState, human: str) -> str:
-    """Ground-truth location of `human`'s object right now."""
-    try:
-        return room.current_location[human]
-    except KeyError:
-        raise DesError(f"unknown human {human!r}") from None

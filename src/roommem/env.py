@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .des import build_room, human_names, tick, true_location
+from .des import build_room, human_names, tick
 from .kb import KnowledgeBase, generate_synthetic_kb, load_kb
 from .memory import RELATION, Quadruple, format_head
 from .seeding import ROLE_DES, ROLE_QUESTIONS, derive_rng, derive_seed
@@ -127,20 +127,11 @@ class RoomEnv:
         """(Re)build everything from the config and deliver step 0."""
         cfg = self.config
         self.kb = world_kb(cfg)
-        self._room = build_room(
-            self.kb, cfg.n_humans, cfg.p_commonsense,
-            seed=derive_seed(cfg.seed, ROLE_DES),
-            location_capacity=cfg.location_capacity,
-            segment_range=cfg.routine_segments,
-            duration_range=cfg.routine_durations,
-        )
-        self.human_names = tuple(h.name for h in self._room.humans)
-        self.object_of = {h.name: h.obj for h in self._room.humans}
+        self._room = build_room(self.kb, cfg, seed=derive_seed(cfg.seed, ROLE_DES))
         self._qrng = derive_rng(cfg.seed, ROLE_QUESTIONS)
         self._obs_count = 0
-        self._grades = 0
         # answers are graded on where the asked-about human was last observed
-        self._ledger: dict[str, str] = {}
+        self._ledger: list[str | None] = [None] * len(self._room.humans)
         self._done = False
         self._started = True
         tick(self._room)
@@ -154,9 +145,8 @@ class RoomEnv:
             raise EnvError("call reset() before step()")
         if self._done:
             raise EnvError("episode is done")
-        reward = int(answer == self._ledger[self._pending_human])
-        self._grades += 1
-        if self._grades >= self.config.episode_length:
+        reward = int(answer == self._ledger[self._asked])
+        if self._obs_count >= self.config.episode_length:
             self._done = True
             return None, None, reward, True
         tick(self._room)
@@ -169,17 +159,16 @@ class RoomEnv:
     def _observe_next(self) -> Quadruple:
         """Where the next human in round-robin order has its object now; the
         quadruple's value is the step's timestamp."""
-        room = self._room
-        h = room.humans[self._obs_count % len(room.humans)]
-        loc = true_location(room, h.name)
-        obs = Quadruple(format_head(h.name, h.obj), RELATION, loc, self._obs_count)
+        i = self._obs_count % len(self._room.humans)
+        h = self._room.humans[i]
+        obs = Quadruple(format_head(h.name, h.obj), RELATION, h.location, self._obs_count)
         self._obs_count += 1
-        self._ledger[h.name] = loc
+        self._ledger[i] = h.location
         return obs
 
     def _sample_question(self) -> Question:
         # round-robin observation: the humans observed so far are a prefix
-        n_observed = min(self._obs_count, len(self.human_names))
-        human = self.human_names[int(self._qrng.integers(n_observed))]
-        self._pending_human = human
-        return Question(format_head(human, self.object_of[human]), RELATION)
+        humans = self._room.humans
+        self._asked = int(self._qrng.integers(min(self._obs_count, len(humans))))
+        h = humans[self._asked]
+        return Question(format_head(h.name, h.obj), RELATION)

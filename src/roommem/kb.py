@@ -6,6 +6,7 @@ live in cupboards); lower-weight edges are plausible but atypical placements.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,33 +122,36 @@ def load_kb(path: str) -> KnowledgeBase:
     lseen: set[str] = set()
     pairs: set[tuple[str, str]] = set()
     edges: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KbError(f"{path}:{lineno}: expected object<TAB>location<TAB>weight")
-            obj, loc, wtext = parts
-            if not obj or not loc:
-                raise KbError(f"{path}:{lineno}: empty name")
-            try:
-                w = float(wtext)
-            except ValueError:
-                raise KbError(f"{path}:{lineno}: bad weight {wtext!r}") from None
-            if not (math.isfinite(w) and w > 0):
-                raise KbError(f"{path}:{lineno}: weight must be a positive finite number")
-            if (obj, loc) in pairs:
-                raise KbError(f"{path}:{lineno}: duplicate edge {obj!r} -> {loc!r}")
-            pairs.add((obj, loc))
-            if obj not in oseen:
-                oseen.add(obj)
-                objects.append(obj)
-            if loc not in lseen:
-                lseen.add(loc)
-                locations.append(loc)
-            edges.append((obj, loc, w))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise KbError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise KbError(f"{path}:{lineno}: expected object<TAB>location<TAB>weight")
+        obj, loc, wtext = parts
+        if not obj or not loc:
+            raise KbError(f"{path}:{lineno}: empty name")
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise KbError(f"{path}:{lineno}: bad weight {wtext!r}") from None
+        if not (math.isfinite(w) and w > 0):
+            raise KbError(f"{path}:{lineno}: weight must be a positive finite number")
+        if (obj, loc) in pairs:
+            raise KbError(f"{path}:{lineno}: duplicate edge {obj!r} -> {loc!r}")
+        pairs.add((obj, loc))
+        if obj not in oseen:
+            oseen.add(obj)
+            objects.append(obj)
+        if loc not in lseen:
+            lseen.add(loc)
+            locations.append(loc)
+        edges.append((obj, loc, w))
     if not objects:
         raise KbError(f"{path}: no objects")
     return KnowledgeBase(tuple(objects), tuple(locations), tuple(edges))
@@ -165,11 +169,13 @@ def write_kb(kb: KnowledgeBase, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=8)
 def generate_synthetic_kb(seed: int, n_objects: int, n_locations: int) -> KnowledgeBase:
     """Random knowledge base: per object one designated commonsense edge with
     weight in [2, 5] plus 1..3 distractor edges with weights in (0, 1].
 
-    Deterministic in `seed`.  The designated edge is always the strict
+    Deterministic in `seed`, so every environment reset of one world shares
+    one cached (immutable) result.  The designated edge is always the strict
     maximum for its object.
     """
     if n_objects < 1:

@@ -61,9 +61,6 @@ class ParamTensor:
     def size(self) -> int:
         return self.values.size
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype, name: str) -> ParamTensor:
     """Uniform in +-1/sqrt(fan_in), the usual scale-preserving init."""

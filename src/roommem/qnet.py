@@ -232,10 +232,6 @@ class QNetwork:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def clone(self) -> "QNetwork":
         other = QNetwork.create(self.vocab, seed=0, d_emb=self.d_emb,
                                 hidden=self.hidden,

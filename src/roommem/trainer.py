@@ -12,6 +12,7 @@ are returned (ties go to the earlier epoch).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -90,8 +91,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
         for name in ("eps_start", "eps_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")

@@ -148,6 +148,10 @@ def test_sweep_reports_failed_cells_with_exit_one(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "1 failed" in capsys.readouterr().out
     assert "failed" in (out / "results.csv").read_text()
+    # a knowledge-base path that names a directory fails its cells the same way
+    cfg = write_cfg(tmp_path, f"agents = random\ncapacities = 4\nkb_path = {tmp_path}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "1 failed" in capsys.readouterr().out
 
 
 def test_sweep_rejects_odd_split_capacity_before_any_cell(tmp_path, capsys):
@@ -198,6 +202,37 @@ def test_train_rejects_a_kb_file_with_clashing_names(tmp_path, capsys, rows):
     cfg = write_cfg(tmp_path, f"agents = rl-scratch\ncapacities = 4\nkb_path = {kb}\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_config_error(tmp_path, capsys, lr):
+    cfg = write_cfg(tmp_path, f"agents = rl-scratch\ncapacities = 4\nlr = {lr}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "lr must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["kb_path is a directory", "kb file not utf-8",
+                                  "config not utf-8", "checkpoint is a directory"])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, case):
+    kb = tmp_path / "kb.tsv"
+    kb.write_bytes(b"bowl\tdesk\t2.0\nmug\tshelf\t1.0\n")
+    argv = ["eval", "--config"]
+    if case == "kb_path is a directory":
+        argv.append(write_cfg(tmp_path, f"agents = random\ncapacities = 4\nkb_path = {tmp_path}\n"))
+    elif case == "kb file not utf-8":
+        kb.write_bytes(b"bowl\tdesk\t2.0\nb\xf6wl\tshelf\t1.0\n")
+        argv.append(write_cfg(tmp_path, f"agents = random\ncapacities = 4\nkb_path = {kb}\n"))
+    elif case == "config not utf-8":
+        cfg = Path(write_cfg(tmp_path, "agents = random\ncapacities = 4\n"))
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+        argv.append(str(cfg))
+    else:
+        argv += [write_cfg(tmp_path, "agents = rl-scratch\ncapacities = 4\n"),
+                 "--checkpoint", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
 
 
 def test_module_entry_point_runs_the_cli():

@@ -5,7 +5,7 @@ import pytest
 from roommem.des import human_names
 from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv, world_kb
 from roommem.kb import generate_synthetic_kb, write_kb
-from roommem.memory import strip_owner
+from roommem.memory import format_head, strip_owner
 
 from .oracles import observed_locations
 
@@ -30,12 +30,10 @@ def test_reset_delivers_step_zero(tiny_env):
     obs, q = env.reset()
     assert obs.value == 0
     assert obs.relation == "AtLocation"
-    owner, obj = strip_owner(obs.head)
-    assert owner == env.human_names[0]
-    assert obj == env.object_of[owner]
+    owner, _ = strip_owner(obs.head)
+    assert owner == human_names(tiny_env.n_humans)[0]
     # only one human observed so far, the question can only be about them
-    q_owner, _ = strip_owner(q.head)
-    assert q_owner == owner
+    assert q.head == obs.head
 
 
 def test_observations_are_round_robin(tiny_env):
@@ -48,7 +46,7 @@ def test_observations_are_round_robin(tiny_env):
         obs, _, _, done = env.step(None)
         if obs is not None:
             owners.append(strip_owner(obs.head)[0])
-    expected = list(env.human_names) * 2
+    expected = list(human_names(cfg.n_humans)) * 2
     assert owners == expected[: len(owners)]
     assert len(owners) == cfg.episode_length
 
@@ -66,17 +64,16 @@ def test_observation_timestamps_count_up(tiny_env):
 
 
 def test_questions_only_about_observed_humans(tiny_env):
+    """Each question names a human observed earlier in the stream, with the
+    object that human's observations carry."""
     env = RoomEnv(tiny_env)
-    _, q = env.reset()
-    seen = 1
-    done = False
-    while not done:
-        owner, obj = strip_owner(q.head)
-        assert owner in env.human_names[:seen]
-        assert obj == env.object_of[owner]
-        _, q, _, done = env.step(None)
-        if not done:
-            seen = min(seen + 1, tiny_env.n_humans)
+    _, stream = run_full_episode(env, lambda s, q: None)
+    seen: dict[str, str] = {}
+    for obs, q in stream:
+        owner, obj = strip_owner(obs.head)
+        assert seen.setdefault(owner, obj) == obj
+        assert q.head in {format_head(o, x) for o, x in seen.items()}
+    assert list(seen) == list(human_names(tiny_env.n_humans))
 
 
 def test_ledger_oracle_scores_full_marks(tiny_env):
@@ -236,6 +233,7 @@ def test_kb_seed_decoupled_from_env_seed(tiny_env):
     ("routine_segments", (1, 2, 3)),
     ("routine_durations", (2,)),
     ("routine_segments", (1, "2")),
+    ("routine_durations", (0, 2)),
 ])
 def test_config_validation(tiny_env, field, value):
     cfg = dataclasses.replace(tiny_env, **{field: value})

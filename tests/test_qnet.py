@@ -199,7 +199,8 @@ def test_forward_batch_with_a_branch_empty_in_every_sample(vocab, net):
     Q, cache = net.forward_batch(enc, need_cache=True)
     for i, s in enumerate(states):
         assert np.allclose(Q[i], net.forward(s), atol=1e-12)
-    net.zero_grad()
+    for p in net.parameters():
+        p.grad[...] = 0.0
     net.backward_batch(cache, np.ones_like(Q))
     for layer in net.branches[SEMANTIC].lstm:
         assert all(np.all(p.grad == 0.0) for p in layer.parameters())
@@ -222,7 +223,8 @@ def test_full_network_gradient_fd(vocab, net):
     dq = rng.normal(size=(3, 3))
 
     Q, cache = net.forward_batch(enc, need_cache=True)
-    net.zero_grad()
+    for p in net.parameters():
+        p.grad[...] = 0.0
     net.backward_batch(cache, dq)
 
     for p in net.parameters():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from roommem.des import human_names
 from roommem.env import ConfigError, RoomEnv
 from roommem.kb import write_kb
 from roommem.memory import (
@@ -75,6 +76,8 @@ def test_desk_overrides():
     dict(warm_start=128, replay_size=64),
     dict(batch_size=512, warm_start=128, replay_size=128),
     dict(precision=16),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -179,8 +182,8 @@ def test_td_loss_gradient_only_touches_online():
     vocab, online, target = tiny_vocab_net()
     s0 = ((Quadruple("Ann's bowl", RELATION, "desk", 0),), (), ())
     batch = [Transition(s0, 0, 1, s0, False)]
-    online.zero_grad()
-    target.zero_grad()
+    for p in online.parameters() + target.parameters():
+        p.grad[...] = 0.0
     td_loss(batch, online, target, 0.65)
     assert any(np.any(p.grad != 0.0) for p in online.parameters())
     assert all(np.all(p.grad == 0.0) for p in target.parameters())
@@ -200,7 +203,8 @@ def test_td_loss_uses_cached_encodings():
     with_cache = [Transition(s0, 0, 1, s1, False, enc0, enc1)]
     without = [Transition(s0, 0, 1, s1, False)]
     l1 = td_loss(with_cache, online, target, 0.65)
-    online.zero_grad()
+    for p in online.parameters():
+        p.grad[...] = 0.0
     l2 = td_loss(without, online, target, 0.65)
     assert l1 == l2
 
@@ -219,7 +223,7 @@ def test_build_vocabulary_matches_a_built_room(tiny_env, small_kb, tmp_path):
         env.reset()
         vocab, kb = build_vocabulary(cfg)
         assert kb == env.kb
-        assert vocab == Vocabulary.build(env.human_names, env.kb)
+        assert vocab == Vocabulary.build(human_names(cfg.n_humans), env.kb)
 
 
 def test_train_warm_start_fills_exactly_and_runs(tiny_env):
