@@ -2,7 +2,7 @@
 
 Every command is driven by a config file plus a few overrides and is
 deterministic given its inputs.  Exit codes: 0 success, 1 run failure,
-2 bad config or unusable input file.
+2 bad config, unusable input file or unusable output path.
 """
 from __future__ import annotations
 
@@ -99,11 +99,11 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     config, agent, capacity, seed = _one_cell(args, rl_only="trace")
     net = _load_checkpoint(args.checkpoint, config)
+    out = Path(args.out if args.out else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     total, trace = run_episode(GreedyQ(net), config.env, agent_capacities(agent, capacity),
                                variant=agent_variant(agent), seed=seed, trace=True,
                                snapshot_steps=args.snapshot_steps)
-    out = Path(args.out if args.out else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.jsonl"
     atomic_write_text(path, trace.to_jsonl())
     print(f"total_reward={total} records={len(trace.records)} trace={path}")
@@ -173,8 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KbError, CheckpointError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+    except (ConfigError, KbError, CheckpointError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

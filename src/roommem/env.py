@@ -5,10 +5,14 @@ object is right now) and one question about a previously observed human; the
 answer given for the question is graded on the next step against that
 human's location at its most recent observation.  Humans are observed in
 fixed round-robin order, questions are sampled uniformly over everything
-observed so far.
+observed so far.  Nothing the agent does changes the room or the questions,
+so an episode depends only on its world and config: it is simulated once
+into a script, and :class:`RoomEnv` replays it.
 """
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .des import build_room, human_names, tick
@@ -108,67 +112,116 @@ class Question:
     relation: str
 
 
+# The most episode steps the script cache keeps, over all its scripts: about
+# 3 MB at desk.env's 100 bytes a step.  The distinct rooms of a desk sweep
+# over five seeds (warm start, training, validation and test) fit in it.
+SCRIPT_BUDGET = 1 << 15
+
+
+@dataclass(frozen=True)
+class _Script:
+    """One episode of one room.  The agent's answers change nothing in the
+    room, so every agent sees this same stream.  Step t observes human
+    ``t % n_humans``; the arrays hold indices into ``locations`` and humans."""
+
+    heads: tuple[str, ...]           # by human; only the humans ever observed
+    questions: tuple[Question, ...]  # by human: the question about its object
+    locations: tuple[str, ...]       # the world's locations
+    observed: array                  # per step: where the observed human is
+    asked: array                     # per step: whom the question asks about
+    graded: array                    # per step: where that human was last observed
+
+    def deliver(self, t: int) -> tuple[Quadruple, Question]:
+        """Step t's observation, timestamped t, and question."""
+        # heads covers the first min(n_humans, episode_length) humans, so
+        # t % len(heads) == t % n_humans for every step t
+        return (Quadruple(self.heads[t % len(self.heads)], RELATION,
+                          self.locations[self.observed[t]], t),
+                self.questions[self.asked[t]])
+
+
+def _script(kb: KnowledgeBase, config: EnvConfig) -> _Script:
+    """Simulate one episode: build the room, then each step tick it, observe
+    the next human in round-robin order and draw a question uniformly over
+    the humans observed so far."""
+    room = build_room(kb, config, seed=derive_seed(config.seed, ROLE_DES))
+    qrng = derive_rng(config.seed, ROLE_QUESTIONS)
+    humans = room.humans
+    where = {loc: i for i, loc in enumerate(kb.locations)}
+    ledger = [0] * len(humans)  # where each human was last observed
+    observed, asked, graded = array("i"), array("i"), array("i")
+    for t in range(config.episode_length):
+        tick(room)
+        i = t % len(humans)
+        ledger[i] = where[humans[i].location]
+        # round-robin observation: the humans observed so far are a prefix
+        a = int(qrng.integers(min(t + 1, len(humans))))
+        observed.append(ledger[i])
+        asked.append(a)
+        graded.append(ledger[a])
+    heads = tuple(format_head(h.name, h.obj) for h in humans[:config.episode_length])
+    return _Script(heads, tuple(Question(head, RELATION) for head in heads), kb.locations,
+                   observed, asked, graded)
+
+
+class _ScriptCache:
+    """Scripts by (world, config), least recently used dropped first, holding
+    at most ``budget`` steps in all.  The key holds the knowledge base's
+    content, so an edited ``kb_path`` file gets a script of its own."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.steps = 0
+        self._scripts: OrderedDict[tuple[KnowledgeBase, EnvConfig], _Script] = OrderedDict()
+
+    def get(self, kb: KnowledgeBase, config: EnvConfig) -> _Script:
+        key = (kb, config)
+        script = self._scripts.get(key)
+        if script is not None:
+            self._scripts.move_to_end(key)
+            return script
+        script = self._scripts[key] = _script(kb, config)
+        self.steps += len(script.asked)
+        while self.steps > self.budget:
+            _, dropped = self._scripts.popitem(last=False)
+            self.steps -= len(dropped.asked)
+        return script
+
+
+_SCRIPTS = _ScriptCache(SCRIPT_BUDGET)
+
+
 class RoomEnv:
-    """Gym-style wrapper around the room simulation.
+    """Gym-style cursor over the episode script of one room.
 
     Usage: env = RoomEnv(config); obs, q = env.reset();
     obs, q, reward, done = env.step(answer).  After `episode_length` graded
-    answers, step returns (None, None, reward, True).
+    answers, step returns (None, None, reward, True).  Each (world, config)
+    episode is simulated once per process and replayed from then on.
     """
 
     def __init__(self, config: EnvConfig):
         config.validate()
         self.config = config
-        self._started = False
-
-    # -- lifecycle -----------------------------------------------------------
+        self._script: _Script | None = None
 
     def reset(self) -> tuple[Quadruple, Question]:
-        """(Re)build everything from the config and deliver step 0."""
-        cfg = self.config
-        self.kb = world_kb(cfg)
-        self._room = build_room(self.kb, cfg, seed=derive_seed(cfg.seed, ROLE_DES))
-        self._qrng = derive_rng(cfg.seed, ROLE_QUESTIONS)
-        self._obs_count = 0
-        # answers are graded on where the asked-about human was last observed
-        self._ledger: list[str | None] = [None] * len(self._room.humans)
-        self._done = False
-        self._started = True
-        tick(self._room)
-        obs = self._observe_next()
-        question = self._sample_question()
-        return obs, question
+        """Load the world and its episode script, and deliver step 0."""
+        self.kb = world_kb(self.config)
+        self._script = _SCRIPTS.get(self.kb, self.config)
+        self._t = 0
+        return self._script.deliver(0)
 
     def step(self, answer: str | None) -> tuple[Quadruple | None, Question | None, int, bool]:
-        """Grade `answer` for the pending question, then advance the room."""
-        if not self._started:
+        """Grade `answer` for the pending question, then deliver the next step."""
+        script = self._script
+        if script is None:
             raise EnvError("call reset() before step()")
-        if self._done:
+        t = self._t
+        if t == len(script.asked):
             raise EnvError("episode is done")
-        reward = int(answer == self._ledger[self._asked])
-        if self._obs_count >= self.config.episode_length:
-            self._done = True
+        reward = int(answer == script.locations[script.graded[t]])
+        self._t = t = t + 1
+        if t == len(script.asked):
             return None, None, reward, True
-        tick(self._room)
-        obs = self._observe_next()
-        question = self._sample_question()
-        return obs, question, reward, False
-
-    # -- internals -----------------------------------------------------------
-
-    def _observe_next(self) -> Quadruple:
-        """Where the next human in round-robin order has its object now; the
-        quadruple's value is the step's timestamp."""
-        i = self._obs_count % len(self._room.humans)
-        h = self._room.humans[i]
-        obs = Quadruple(format_head(h.name, h.obj), RELATION, h.location, self._obs_count)
-        self._obs_count += 1
-        self._ledger[i] = h.location
-        return obs
-
-    def _sample_question(self) -> Question:
-        # round-robin observation: the humans observed so far are a prefix
-        humans = self._room.humans
-        self._asked = int(self._qrng.integers(min(self._obs_count, len(humans))))
-        h = humans[self._asked]
-        return Question(format_head(h.name, h.obj), RELATION)
+        return (*script.deliver(t), reward, False)

@@ -97,6 +97,8 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None,
              for agent in config.agents
              for capacity in config.capacities
              for seed in config.seeds]
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before any cell runs
     workers = pool_size(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -105,8 +107,6 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None,
         results = [_cell_task(t) for t in tasks]
     order = {a: i for i, a in enumerate(AGENTS)}
     results.sort(key=lambda r: (order[r.agent], r.capacity, r.seed))
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(results, out / "results.csv")
     write_summary_csv(results, config, out / "summary.csv")
     return results, any(r.failed for r in results)

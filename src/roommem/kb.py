@@ -178,6 +178,8 @@ def generate_synthetic_kb(seed: int, n_objects: int, n_locations: int) -> Knowle
     one cached (immutable) result.  The designated edge is always the strict
     maximum for its object.
     """
+    if seed < 0:
+        raise KbError(f"seed must be non-negative, got {seed}")
     if n_objects < 1:
         raise KbError("n_objects must be at least 1")
     if n_locations < 2:

@@ -6,7 +6,10 @@ assert the fast implementations agree with these.
 """
 import numpy as np
 
-from roommem.memory import MemorySystem, Quadruple, strip_owner
+from roommem.des import build_room, tick
+from roommem.env import Question, world_kb
+from roommem.memory import RELATION, MemorySystem, Quadruple, format_head, strip_owner
+from roommem.seeding import ROLE_DES, ROLE_QUESTIONS, derive_rng, derive_seed
 
 
 def oracle_retrieve(question_head, episodic_entries, semantic_entries):
@@ -33,6 +36,43 @@ def observed_locations(stream, question_head):
     """Tails of the observations in ``stream`` ((observation, question) pairs
     in step order) whose head is ``question_head``, oldest first."""
     return [obs.tail for obs, _ in stream if obs.head == question_head]
+
+
+class LazyRoomEnv:
+    """The room simulated as it is read, one tick per step, with the same
+    interface as ``RoomEnv``: build the room at reset, then each step tick
+    it, observe the next human in round-robin order and draw the question
+    from the questions' own generator.  Answers are graded against the asked
+    human's location at its latest observation."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def reset(self):
+        cfg = self.config
+        self.kb = world_kb(cfg)
+        self.room = build_room(self.kb, cfg, seed=derive_seed(cfg.seed, ROLE_DES))
+        self.qrng = derive_rng(cfg.seed, ROLE_QUESTIONS)
+        self.last_seen = {}
+        self.t = 0
+        return self._advance()
+
+    def _advance(self):
+        tick(self.room)
+        humans = self.room.humans
+        h = humans[self.t % len(humans)]
+        self.last_seen[h.name] = h.location
+        obs = Quadruple(format_head(h.name, h.obj), RELATION, h.location, self.t)
+        self.t += 1
+        asked = humans[int(self.qrng.integers(min(self.t, len(humans))))]
+        self.graded = self.last_seen[asked.name]
+        return obs, Question(format_head(asked.name, asked.obj), RELATION)
+
+    def step(self, answer):
+        reward = int(answer == self.graded)
+        if self.t == self.config.episode_length:
+            return None, None, reward, True
+        return (*self._advance(), reward, False)
 
 
 def random_memory_state(rng, max_size=64):

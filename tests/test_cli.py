@@ -53,6 +53,15 @@ def test_gen_kb_rejects_bad_counts(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_kb_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "kb.tsv"
+    rc = main(["gen-kb", "--seed", "-1", "--n-objects", "4",
+               "--n-locations", "5", "--out", str(out)])
+    assert rc == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_baseline_agent(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "agents = episodic-only\ncapacities = 16\n")
     rc = main(["eval", "--config", cfg])
@@ -160,6 +169,55 @@ def test_sweep_rejects_odd_split_capacity_before_any_cell(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert "even total" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_sweep_refuses_an_unusable_output_path_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                                under_a_file):
+    import roommem.harness as harness
+
+    cells = []
+    run_cell = harness.run_cell
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args) or run_cell(*args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_cfg(tmp_path, "agents = episodic-only, random\ncapacities = 4\n")
+    out = taken / "sweep" if under_a_file else taken
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cells == []
+    assert taken.read_text() == ""
+    # the counter sees cells when the path is usable
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(cells) == 2
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_trace_refuses_an_unusable_output_path_before_the_episode(tmp_path, capsys, monkeypatch,
+                                                                   under_a_file):
+    from roommem import cli
+    from roommem.configio import load_experiment
+    from roommem.qnet import QNetwork
+    from roommem.trainer import build_vocabulary
+
+    cfg = write_cfg(tmp_path, "agents = rl-scratch\ncapacities = 4\n")
+    config = load_experiment(cfg)
+    ckpt = tmp_path / "net.ckpt"
+    QNetwork.create(build_vocabulary(config.env)[0], 0, d_emb=4, hidden=6,
+                    dtype=config.train.dtype).save(ckpt)
+    episodes = []
+    run_episode = cli.run_episode
+    monkeypatch.setattr(cli, "run_episode",
+                        lambda *a, **k: episodes.append(a) or run_episode(*a, **k))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "trace" if under_a_file else taken
+    argv = ["trace", "--config", cfg, "--checkpoint", str(ckpt), "--out"]
+    assert main(argv + [str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert episodes == []
+    assert main(argv + [str(tmp_path / "trace")]) == 0
+    assert len(episodes) == 1
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from roommem import env as envmod
 from roommem.des import human_names
 from roommem.env import ConfigError, EnvConfig, EnvError, RoomEnv, world_kb
 from roommem.kb import generate_synthetic_kb, write_kb
 from roommem.memory import format_head, strip_owner
+from roommem.policies import EpisodicOnly, play, run_episode
 
-from .oracles import observed_locations
+from .oracles import LazyRoomEnv, observed_locations
 
 
 def run_full_episode(env, answer_fn):
@@ -23,6 +27,10 @@ def run_full_episode(env, answer_fn):
         if not done:
             stream.append((obs, q))
     return total, stream
+
+
+def no_answer(stream, question):
+    return None
 
 
 def test_reset_delivers_step_zero(tiny_env):
@@ -239,3 +247,88 @@ def test_config_validation(tiny_env, field, value):
     cfg = dataclasses.replace(tiny_env, **{field: value})
     with pytest.raises(ConfigError):
         RoomEnv(cfg)
+
+
+@settings(max_examples=40)
+@given(n_humans=st.integers(1, 10), n_objects=st.integers(1, 5),
+       n_locations=st.integers(2, 6), capacity=st.integers(1, 4),
+       episode_length=st.integers(1, 40), p_commonsense=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32), kb_file=st.booleans(), answer_seed=st.integers(0, 2**16))
+def test_script_replays_the_room_simulated_as_it_is_read(
+        tmp_path_factory, n_humans, n_objects, n_locations, capacity, episode_length,
+        p_commonsense, seed, kb_file, answer_seed):
+    """The room ignores the agent, so replaying a script gives the stream of
+    the room ticked step by step: the same observations, questions and
+    rewards, for right, wrong and missing answers alike."""
+    cfg = EnvConfig(n_humans=n_humans, n_objects=n_objects, n_object_locations=n_locations,
+                    location_capacity=capacity, episode_length=episode_length,
+                    p_commonsense=p_commonsense, seed=seed, kb_seed=seed % 50)
+    if kb_file:
+        path = tmp_path_factory.mktemp("kb") / "kb.tsv"
+        write_kb(generate_synthetic_kb(seed % 50 + 1, n_objects, n_locations), str(path))
+        cfg = dataclasses.replace(cfg, kb_path=str(path))
+    try:
+        cfg.validate()
+        world_kb(cfg)
+    except ConfigError:
+        assume(False)
+    lazy, scripted = LazyRoomEnv(cfg), RoomEnv(cfg)
+    assert scripted.reset() == lazy.reset()
+    rng = np.random.default_rng(answer_seed)
+    done = False
+    while not done:
+        # the graded answer, no answer or a random location, in turn at random
+        locations = lazy.kb.locations
+        answer = (lazy.graded, None, locations[int(rng.integers(len(locations)))])[
+            int(rng.integers(3))]
+        got = scripted.step(answer)
+        assert got == lazy.step(answer)
+        done = got[3]
+
+
+def test_duplicate_seeds_share_a_script_with_their_own_cursors(tiny_env, monkeypatch):
+    """Two lockstep episodes of one seed simulate the room once and each
+    score what a sequential episode scores."""
+    monkeypatch.setattr(envmod, "_SCRIPTS", envmod._ScriptCache(envmod.SCRIPT_BUDGET))
+    builds = []
+    script = envmod._script
+    monkeypatch.setattr(envmod, "_script", lambda *a: builds.append(a) or script(*a))
+    totals = [0, 0]
+    for steps in play(EpisodicOnly(), tiny_env, (4, 0), seeds=(5, 5)):
+        totals = [t + s.reward for t, s in zip(totals, steps)]
+    assert len(builds) == 1
+    single = run_episode(EpisodicOnly(), tiny_env, (4, 0), seed=5)[0]
+    assert totals == [single, single]
+    assert single < tiny_env.episode_length  # capacity 4 forgets, so a shared cursor would show
+    assert len(builds) == 1
+
+
+def test_script_cache_keeps_within_its_budget(tiny_env, monkeypatch):
+    """More distinct episodes than the budget holds: the least recently used
+    scripts go, and an episode replayed after its script went is unchanged."""
+    cache = envmod._ScriptCache(budget=2 * tiny_env.episode_length + 5)
+    monkeypatch.setattr(envmod, "_SCRIPTS", cache)
+    first = None
+    for seed in range(6):
+        stream = run_full_episode(RoomEnv(dataclasses.replace(tiny_env, seed=seed)), no_answer)
+        first = first or stream
+        assert cache.steps <= cache.budget
+    assert cache.steps == 2 * tiny_env.episode_length
+    assert [cfg.seed for _, cfg in cache._scripts] == [4, 5]
+    RoomEnv(dataclasses.replace(tiny_env, seed=4)).reset()  # a hit makes 4 the most recent
+    assert run_full_episode(RoomEnv(dataclasses.replace(tiny_env, seed=0)), no_answer) == first
+    assert [cfg.seed for _, cfg in cache._scripts] == [4, 0]
+
+
+def test_rewritten_kb_file_gives_the_new_world_at_the_next_reset(tmp_path, tiny_env):
+    path = tmp_path / "kb.tsv"
+    cfg = dataclasses.replace(tiny_env, kb_path=str(path))
+    env = RoomEnv(cfg)
+    streams = []
+    for kb_seed in (98, 99):
+        kb = generate_synthetic_kb(kb_seed, tiny_env.n_objects, tiny_env.n_object_locations)
+        write_kb(kb, str(path))
+        streams.append(run_full_episode(env, no_answer))
+        assert env.kb.edges == kb.edges
+        assert streams[-1] == run_full_episode(LazyRoomEnv(cfg), no_answer)
+    assert streams[0] != streams[1]

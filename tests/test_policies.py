@@ -142,6 +142,18 @@ def test_random_policy_reproducible(tiny_env):
     assert r1 == r2
 
 
+def test_agents_see_one_stream(tiny_env):
+    """The room ignores what the agent does: two policies that act and
+    answer differently on one seed meet the same observations and questions."""
+    streams = []
+    for policy in (EpisodicOnly(), RandomPolicy(derive_rng(1, 9))):
+        _, trace = run_episode(policy, tiny_env, (2, 2), seed=4, trace=True)
+        streams.append([(r.observation, r.question) for r in trace.records])
+        actions = {r.action for r in trace.records}
+    assert streams[0] == streams[1]
+    assert actions != {TO_EPISODIC}  # the random policy did act differently
+
+
 def test_pretrained_variant_prefills_semantic(tiny_env):
     # episodic capacity 0 drops every store action, so anything in the
     # semantic snapshot (and any answer at all) must come from the prefill
