@@ -4,9 +4,15 @@ Each agent's capacity split and episode variant come from configio's agent
 table.  Cells are independent and may run in a process pool; aggregation
 sorts rows so output bytes never depend on completion order.  A failed cell is marked in the results and the sweep
 carries on.
+
+Every cell of a sweep runs with one BLAS thread, serial or pooled.  Trained
+parameters are bit-reproducible only at a fixed BLAS thread count, so one
+count on both paths keeps sweeps byte-identical across worker counts, and
+pooled workers do not each start a pool of BLAS threads on the same CPUs.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +88,25 @@ def _cell_task(args) -> CellResult:
         return CellResult(agent, capacity, seed, (), error=f"{type(exc).__name__}: {exc}")
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Give numpy's bundled OpenBLAS n threads and return the count it had;
+    change nothing and return None when numpy links another BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))   # numpy loaded it already: the same library
+        try:
+            get = handle.scipy_openblas_get_num_threads64_
+            set_ = handle.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        before = get()
+        set_(n)
+        return before
+    return None
+
+
 def pool_size(requested: int, n_tasks: int, n_cpus: int) -> int:
     """Worker processes worth starting: more than one per task or per
     usable CPU only adds start-up cost and contention."""
@@ -101,10 +126,16 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None,
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before any cell runs
     workers = pool_size(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
             results = list(pool.map(_cell_task, tasks))
     else:
-        results = [_cell_task(t) for t in tasks]
+        before = _set_blas_threads(1)
+        try:
+            results = [_cell_task(t) for t in tasks]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     order = {a: i for i, a in enumerate(AGENTS)}
     results.sort(key=lambda r: (order[r.agent], r.capacity, r.seed))
     write_results_csv(results, out / "results.csv")

@@ -10,10 +10,22 @@ layer, hidden and cell state start at zero.  A batch of sequences is packed
 time-major, longest first, so each step runs only the samples still inside
 their sequence and a sample's last hidden state is read at its own last
 step; an empty sequence yields the zero vector without touching any weight.
+
+Buffers: :func:`lstm_batch_forward` and :func:`lstm_batch_backward` take
+their batch-sized arrays from a :class:`Workspace`, and the linear and ReLU
+helpers write to ``out`` arrays.  Called without them, as the
+single-sequence helpers and the tests do, each call makes fresh arrays.  A
+caller that passes a workspace owns every array handed out of it: a cache
+built from it stays valid until the next call that takes the same keys
+(:func:`lstm_batch_forward` lists them).  :class:`Adam` keeps its own.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import math
+import mmap
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,6 +36,7 @@ __all__ = [
     "ParamTensor",
     "LstmLayer",
     "Packing",
+    "Workspace",
     "sigmoid",
     "embedding_lookup",
     "embedding_backward",
@@ -62,6 +75,47 @@ class ParamTensor:
         return self.values.size
 
 
+class Workspace:
+    """Arrays kept from call to call, one per key, each as large as the
+    largest size asked for under its key.  :meth:`take` returns a view of
+    the key's array with the requested shape; it overwrites, and so ends,
+    whatever an earlier view of that key held.  Arrays are never zeroed.
+
+    Each array is its own private anonymous memory map, not a heap block,
+    so its pages go back to the system as soon as its last view dies, and
+    a forked child writes to its own copy.  Held in the heap, a network's
+    buffers leave holes there that the small arrays of later work pin, and
+    a process that trains one network after another grows with each: with
+    heap arrays, perfbench's desk-train and paper-train peak RSS on a
+    2-CPU Xeon was 7% and 12% above that with maps.  Each map is reported to tracemalloc as numpy
+    reports its own arrays."""
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def take(self, key, shape, dtype) -> np.ndarray:
+        n = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < n or flat.dtype != dtype:
+            flat = self._flat[key] = _mapped(n, np.dtype(dtype))
+        return flat[:n].reshape(shape)
+
+
+_NUMPY_TRACE_DOMAIN = 389047   # the tracemalloc domain numpy reports its array data in
+_trace_track = ctypes.pythonapi.PyTraceMalloc_Track
+_trace_track.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+_trace_untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+_trace_untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+
+
+def _mapped(n: int, dtype: np.dtype) -> np.ndarray:
+    pages = mmap.mmap(-1, max(n * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE)
+    flat = np.frombuffer(pages, dtype=dtype, count=n)
+    _trace_track(_NUMPY_TRACE_DOMAIN, flat.ctypes.data, len(pages))
+    weakref.finalize(pages, _trace_untrack, _NUMPY_TRACE_DOMAIN, flat.ctypes.data)
+    return flat
+
+
 def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype, name: str) -> ParamTensor:
     """Uniform in +-1/sqrt(fan_in), the usual scale-preserving init."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -90,14 +144,18 @@ def embedding_backward(table: ParamTensor, index: int, grad_output: np.ndarray) 
 
 # -- linear / relu -----------------------------------------------------------
 
-def linear_forward(x: np.ndarray, w: ParamTensor, b: ParamTensor):
-    """y = x W^T + b.  Accepts a single vector or a (batch, in) matrix."""
+def linear_forward(x: np.ndarray, w: ParamTensor, b: ParamTensor, out=None):
+    """y = x W^T + b.  Accepts a single vector or a (batch, in) matrix,
+    whose y goes to ``out`` when given."""
     if x.ndim == 1:
         return w.values @ x + b.values, x
-    return x @ w.values.T + b.values, x
+    y = np.matmul(x, w.values.T, out=out)
+    y += b.values
+    return y, x
 
 
-def linear_backward(cache_x: np.ndarray, w: ParamTensor, b: ParamTensor, dy: np.ndarray) -> np.ndarray:
+def linear_backward(cache_x: np.ndarray, w: ParamTensor, b: ParamTensor, dy: np.ndarray,
+                    out=None) -> np.ndarray:
     x = cache_x
     if x.ndim == 1:
         w.grad += np.outer(dy, x)
@@ -105,16 +163,15 @@ def linear_backward(cache_x: np.ndarray, w: ParamTensor, b: ParamTensor, dy: np.
         return w.values.T @ dy
     w.grad += dy.T @ x
     b.grad += dy.sum(axis=0)
-    return dy @ w.values
+    return np.matmul(dy, w.values, out=out)
 
 
-def relu_forward(x: np.ndarray):
-    y = np.maximum(x, 0.0)
-    return y, x > 0.0
+def relu_forward(x: np.ndarray, out=None, mask=None):
+    return np.maximum(x, 0.0, out=out), np.greater(x, 0.0, out=mask)
 
 
-def relu_backward(mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * mask
+def relu_backward(mask: np.ndarray, dy: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(dy, mask, out=out)
 
 
 # -- huber -------------------------------------------------------------------
@@ -166,13 +223,13 @@ class Packing:
     Samples are ordered by length, longest first (stable), so the samples
     still running at step t are a prefix of that order, ``bs[t]`` long.
     Packed row ``off[t] + k`` holds step t of the k-th sample in that order;
-    ``t_idx``/``b_idx`` map each packed row back to the padded (T, B)
-    position, and ``last`` gives each sample's last row.  ``steps`` is the
-    padded length T, the longest sequence.  Built once per batch and shared
-    by every layer, forward and backward.
+    ``pos`` maps each packed row back to its padded (T, B) position as the
+    flat index ``t * B + b``, and ``last`` gives each sample's last row.
+    ``steps`` is the padded length T, the longest sequence.  Built once per
+    batch and shared by every layer, forward and backward.
     """
 
-    __slots__ = ("batch", "steps", "bs", "off", "t_idx", "b_idx", "last")
+    __slots__ = ("batch", "steps", "bs", "off", "pos", "last")
 
     def __init__(self, lengths):
         lengths = [int(n) for n in lengths]
@@ -189,9 +246,9 @@ class Packing:
         self.bs = list(accumulate(reversed(ends[1:])))[::-1]
         self.off = list(accumulate(self.bs, initial=0))
         rows = self.off[-1]
-        step_start = np.repeat(np.array(self.off[:-1], dtype=np.int64), self.bs)
-        self.t_idx = np.repeat(np.arange(longest), self.bs)
-        self.b_idx = np.array(order, dtype=np.int64)[np.arange(rows) - step_start]
+        step_start = np.repeat(np.array(self.off[:-1], dtype=np.intp), self.bs)
+        self.pos = np.array(order, dtype=np.intp)[np.arange(rows) - step_start]
+        self.pos += np.repeat(np.arange(longest) * B, self.bs)
         # packed row of each sample's last step, -1 for an empty sample
         last = [-1] * B
         for k, j in enumerate(order[:self.bs[0] if self.bs else 0]):
@@ -236,7 +293,7 @@ class _LayerCache:
 
 
 def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
-                       need_cache: bool = False):
+                       need_cache: bool = False, work: Workspace | None = None):
     """Run stacked LSTM layers over a padded batch.
 
     X: (T, B, d_in), T the longest of the sequence lengths in ``pack``.
@@ -246,31 +303,52 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
 
     All four gates share one ``tanh`` over the 4h block (see
     :func:`_gate_layout`); the cache keeps the gates in that layout.
+
+    The packed rows come from ``work`` (a fresh :class:`Workspace` when
+    None).  A cached call keeps layer i's rows under keys ``(name, i)``,
+    which its caches view, so they stay valid until the next cached call
+    on the same workspace.  An uncached call reuses one layer's worth of
+    keys ``(name, None)`` for every layer, its outputs alternating between
+    the ``"out"`` and ``"inp"`` keys, and so leaves a cached call's rows
+    alone.  h_last views key ``"h_last"``.
     """
     T, B, _ = X.shape
     dtype = layers[0].w_x.values.dtype
-    h_last = np.zeros((B, layers[-1].hidden), dtype=dtype)
     if pack.batch != B or pack.steps != T:
         raise ValueError(f"packing describes a ({pack.steps}, {pack.batch}) batch, X is ({T}, {B})")
+    if work is None:
+        work = Workspace()
+    h_last = work.take("h_last", (B, layers[-1].hidden), dtype)
     if not pack.bs:
+        h_last.fill(0.0)
         return h_last, []
     caches: list[_LayerCache] = []
     half = dtype.type(0.5)   # a typed scalar skips a conversion per call
-    inp = X[pack.t_idx, pack.b_idx]
-    for layer in layers:
+    N = pack.rows
+
+    def rows(name, li, width, dt=dtype):
+        return work.take((name, li if need_cache else None), (N, width), dt)
+
+    inp = rows("inp", 0, X.shape[2], X.dtype)
+    np.take(X.reshape(T * B, -1), pack.pos, axis=0, out=inp, mode="clip")
+    for li, layer in enumerate(layers):
         h = layer.hidden
         order, scale = _gate_layout(h, dtype)
         w_h_t = _fused(layer.w_h.values, order, scale).T
-        gates = inp @ _fused(layer.w_x.values, order, scale).T
+        gates = rows("gates", li, 4 * h)
+        np.matmul(inp, _fused(layer.w_x.values, order, scale).T, out=gates)
         gates += _fused(layer.b.values, order, scale[:, 0])
-        c = np.empty((pack.rows, h), dtype=dtype)
-        out = np.empty((pack.rows, h), dtype=dtype)
+        c = rows("c", li, h)
+        out = rows("out" if need_cache or li % 2 == 0 else "inp", li, h)
+        if T > 1:
+            rec = work.take("rec", (pack.bs[1], 4 * h), dtype)
         for t, b in enumerate(pack.bs):
             r = slice(pack.off[t], pack.off[t] + b)
             z = gates[r]
+            ot = out[r]   # also scratch for f * c_prev, before h is written
             if t:
                 p = slice(pack.off[t - 1], pack.off[t - 1] + b)
-                z += out[p] @ w_h_t
+                z += np.matmul(out[p], w_h_t, out=rec[:b])
             np.tanh(z, out=z)
             sig = z[:, :3 * h]
             sig *= half
@@ -278,32 +356,42 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
             ct = c[r]
             np.multiply(z[:, :h], z[:, 3 * h:], out=ct)
             if t:
-                ct += z[:, h:2 * h] * c[p]
-            np.multiply(z[:, 2 * h:3 * h], np.tanh(ct), out=out[r])
+                ct += np.multiply(z[:, h:2 * h], c[p], out=ot)
+            np.tanh(ct, out=ot)
+            ot *= z[:, 2 * h:3 * h]
         if need_cache:
             caches.append(_LayerCache(inp, gates, c, out))
         inp = out
-    live = pack.last >= 0
-    h_last[live] = inp[pack.last[live]]
+    np.take(inp, pack.last, axis=0, out=h_last, mode="clip")
+    h_last[pack.last < 0] = 0.0   # an empty sample, whose clipped -1 read row 0
     return h_last, caches
 
 
 def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
-                        pack: Packing, dh_last: np.ndarray) -> np.ndarray:
+                        pack: Packing, dh_last: np.ndarray,
+                        work: Workspace | None = None) -> np.ndarray:
     """Backprop through :func:`lstm_batch_forward`, given the same
     ``pack``; accumulates parameter gradients and returns the gradient on
-    the padded input X, zero at steps past each sample's length."""
+    the padded input X, zero at steps past each sample's length.
+
+    Its arrays come from ``work`` (a fresh :class:`Workspace` when None),
+    under keys that no forward takes; the returned dX views key
+    ``"padded"``, which a caller may also use for the forward's X.
+    """
     dtype = layers[0].w_x.values.dtype
-    dX = np.zeros((pack.steps, pack.batch, layers[0].d_in), dtype=dtype)
+    if work is None:
+        work = Workspace()
+    dX = work.take("padded", (pack.steps, pack.batch, layers[0].d_in), dtype)
+    dX.fill(0.0)
     if not pack.bs:
         return dX
-    order_b = pack.b_idx[:pack.bs[0]]   # samples, longest first
+    B0 = pack.bs[0]
+    order_b = pack.pos[:B0]   # samples, longest first
     N = pack.rows
     # h_prev of a row past the first step is the same sample's row one step
     # earlier, bs[t-1] rows up
-    later = slice(pack.bs[0], N)
-    prev = np.arange(pack.bs[0], N) - np.repeat(np.array(pack.bs[:-1], dtype=np.int64),
-                                                  pack.bs[1:])
+    later = slice(B0, N)
+    prev = np.arange(B0, N) - np.repeat(np.array(pack.bs[:-1], dtype=np.intp), pack.bs[1:])
     d_above = None  # gradient on the current layer's packed output rows
     for li in range(len(layers) - 1, -1, -1):
         layer = layers[li]
@@ -312,18 +400,18 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
         h = layer.hidden
         order, _ = _gate_layout(h, dtype)
         w_h = layer.w_h.values[order]
-        # local derivatives of every gate and of tanh(c), in one pass each
-        dgate = gates * (1.0 - gates)
-        g = gates[:, 3 * h:]
-        np.multiply(g, g, out=dgate[:, 3 * h:])
-        np.subtract(1.0, dgate[:, 3 * h:], out=dgate[:, 3 * h:])
-        tc = np.tanh(c)
-        dtc = 1.0 - tc * tc
-        DZ = np.empty((N, 4 * h), dtype=dtype)
-        dh = np.zeros((pack.bs[0], h), dtype=dtype)
+        DZ = work.take("DZ", (N, 4 * h), dtype)
+        # per-step local derivatives: of every gate, and tanh(c) then 1 - tanh(c)^2
+        dgate = work.take("dgate", (B0, 4 * h), dtype)
+        dtc = work.take("dtc", (B0, h), dtype)
+        tmp = work.take("tmp", (B0, h), dtype)
+        dh = work.take("dh", (B0, h), dtype)
         if li == len(layers) - 1:
-            dh[...] = dh_last[order_b]
-        dc = np.zeros((pack.bs[0], h), dtype=dtype)
+            np.take(dh_last, order_b, axis=0, out=dh, mode="clip")
+        else:
+            dh.fill(0.0)
+        dc = work.take("dc", (B0, h), dtype)
+        dc.fill(0.0)
         for t in range(len(pack.bs) - 1, -1, -1):
             b = pack.bs[t]
             r = slice(pack.off[t], pack.off[t] + b)
@@ -333,8 +421,13 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             a = gates[r]
             dz = DZ[r]
             dct = dc[:b]
-            np.multiply(dht, tc[r], out=dz[:, 2 * h:3 * h])
-            dct += dht * a[:, 2 * h:3 * h] * dtc[r]
+            dtct = np.tanh(c[r], out=dtc[:b])
+            np.multiply(dht, dtct, out=dz[:, 2 * h:3 * h])
+            np.multiply(dtct, dtct, out=dtct)
+            np.subtract(1.0, dtct, out=dtct)
+            tmpt = np.multiply(dht, a[:, 2 * h:3 * h], out=tmp[:b])
+            tmpt *= dtct
+            dct += tmpt
             np.multiply(dct, a[:, 3 * h:], out=dz[:, :h])
             if t:
                 p = slice(pack.off[t - 1], pack.off[t - 1] + b)
@@ -342,15 +435,24 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             else:
                 dz[:, h:2 * h] = 0.0
             np.multiply(dct, a[:, :h], out=dz[:, 3 * h:])
-            dz *= dgate[r]
+            dg = np.subtract(1.0, a, out=dgate[:b])
+            dg *= a
+            g = a[:, 3 * h:]
+            np.multiply(g, g, out=dg[:, 3 * h:])
+            np.subtract(1.0, dg[:, 3 * h:], out=dg[:, 3 * h:])
+            dz *= dg
             dct *= a[:, h:2 * h]
             if t:
                 np.matmul(dz, w_h, out=dht)
+        h_prev = work.take("h_prev", (N - B0, h), dtype)
+        np.take(cache.out, prev, axis=0, out=h_prev, mode="clip")
         layer.w_x.grad[order] += DZ.T @ cache.inp
-        layer.w_h.grad[order] += DZ[later].T @ cache.out[prev]
+        layer.w_h.grad[order] += DZ[later].T @ h_prev
         layer.b.grad[order] += DZ.sum(axis=0)
-        d_above = DZ @ layer.w_x.values[order]
-    dX[pack.t_idx, pack.b_idx] = d_above
+        # the layer above's d_above is dead here, so both share one key
+        d_above = np.matmul(DZ, layer.w_x.values[order],
+                            out=work.take("d_above", (N, layer.d_in), dtype))
+    dX.reshape(-1, dX.shape[2])[pack.pos] = d_above
     return dX
 
 
@@ -388,7 +490,9 @@ def lstm_backward_single(cache, layers: list[LstmLayer], dh: np.ndarray) -> np.n
 
 class Adam:
     """Adam with bias correction.  step() consumes and zeroes the gradients;
-    a non-finite gradient is an error rather than a silent poisoning."""
+    a non-finite gradient is an error rather than a silent poisoning, and
+    it is found before any parameter, moment or the step count changes.
+    The update's temporaries live in a workspace the optimizer owns."""
 
     def __init__(self, params: list[ParamTensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -400,19 +504,31 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
         self._v = [np.zeros_like(p.values) for p in self.params]
+        self._work = Workspace()
 
     def step(self) -> None:
+        for p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise GradientError(f"non-finite gradient in {p.name or 'parameter'}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise GradientError(f"non-finite gradient in {p.name or 'parameter'}")
+            num = self._work.take("num", g.shape, g.dtype)
+            den = self._work.take("den", g.shape, g.dtype)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=num)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.grad[...] = 0.0
+            num = np.multiply(g, g, out=num)
+            num *= 1.0 - b2
+            v += num
+            # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            num = np.divide(m, bc1, out=num)
+            num *= self.lr
+            den = np.sqrt(np.divide(v, bc2, out=den), out=den)
+            den += self.eps
+            num /= den
+            p.values -= num
+            g.fill(0.0)

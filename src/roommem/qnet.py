@@ -10,6 +10,18 @@ insertion order.
 One branch per memory system: encode, two LSTM layers, linear + ReLU.
 The three branch vectors concatenate into a shared head that emits one
 Q-value per management action.
+
+Buffers: a :class:`QNetwork` owns the batch-sized arrays of its forward
+and backward passes and reuses them from batch to batch.  Each branch, and
+the shared head, has a workspace for cached forwards; one scratch
+workspace serves uncached forwards, the backward, and every forward's
+padded embeddings.  So a cache from ``forward_batch(..., need_cache=True)``
+stays valid through any number of uncached forwards, until the network's
+next cached forward, after which :meth:`QNetwork.backward_batch` refuses
+it.  Only the returned Q-values are new arrays.  No cache views the
+scratch, so a network shares it with its clones (the trainer's target
+network among them): calls on a network and its clones must not run at
+the same time, which nothing in roommem does.
 """
 from __future__ import annotations
 
@@ -27,6 +39,7 @@ from .nn import (
     LstmLayer,
     ParamTensor,
     Packing,
+    Workspace,
     init_uniform,
     linear_backward,
     linear_forward,
@@ -51,6 +64,7 @@ _CKPT_HEADER = "header"   # archive member holding the JSON header
 _CKPT_DTYPES = ("<f4", "<f8")
 
 BRANCHES = (SHORT_TERM, EPISODIC, SEMANTIC)
+_HEAD = "head"   # key of the shared head's cached buffers, beside the branches'
 
 
 class VocabError(KeyError):
@@ -126,8 +140,10 @@ def encode_state(vocab: Vocabulary, state) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _pad_codes(codes: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sample (n, 3) token codes into one (T, B, 3) tensor.
+def _pad_codes(codes: list[np.ndarray], pad: int,
+               work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-sample (n, 3) token codes into one (T, B, 3) tensor, a
+    view of ``work``'s ``"codes"`` key.
 
     Steps past a sample's length, and the -1 owner slot of semantic rows,
     point at ``pad``, the embedding table's extra zero row.  Returns
@@ -135,7 +151,8 @@ def _pad_codes(codes: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarra
     B = len(codes)
     lengths = [c.shape[0] for c in codes]
     T = max(lengths, default=0)
-    out = np.full((T, B, 3), pad, dtype=np.int64)
+    out = work.take("codes", (T, B, 3), np.int64)
+    out.fill(pad)
     if T:
         rows = np.concatenate(codes)
         start = np.repeat(list(accumulate(lengths, initial=0))[:-1], lengths)
@@ -144,26 +161,32 @@ def _pad_codes(codes: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarra
     return out, lengths
 
 
-def _embed(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """(T, B, 3) codes -> (T, B, 3*d) rows laid out head | relation | tail.
+def _embed(table: np.ndarray, codes: np.ndarray, work: Workspace) -> np.ndarray:
+    """(T, B, 3) codes -> (T, B, 3*d) rows laid out head | relation | tail,
+    a view of ``work``'s ``"padded"`` key, which the backward's dX reuses
+    once the forward has packed X.
     The head embeds as the sum of its two tokens; the relation third is
     zero."""
-    X = table[codes]
+    X = work.take("padded", codes.shape + table.shape[1:], table.dtype)
+    np.take(table, codes, axis=0, out=X, mode="clip")
     X[..., 0, :] += X[..., 1, :]
     X[..., 1, :] = 0.0
     return X.reshape(codes.shape[:2] + (3 * table.shape[1],))
 
 
 def _embedding_grad(codes: np.ndarray, dX: np.ndarray, n_rows: int) -> np.ndarray:
-    """Gradient of :func:`_embed` on its (n_rows, d) table, summed in one
-    pass: both head tokens take the head's gradient, the tail token the
-    tail's."""
+    """Gradient of :func:`_embed` on its (n_rows, d) table: both head
+    tokens take the head's gradient, the tail token the tail's.  One
+    float64 ``bincount`` per column sums each entry's rows in the order of
+    ``codes``, as one ``bincount`` over all columns would, without a (T, B,
+    3, d) index.  Overwrites dX."""
     dX = dX.reshape(codes.shape + (-1,))
-    d = dX.shape[-1]
     dX[..., 1, :] = dX[..., 0, :]
-    flat = (codes[..., None] * d + np.arange(d)).ravel()
-    grad = np.bincount(flat, weights=dX.ravel(), minlength=n_rows * d)
-    return grad.reshape(n_rows, d)
+    index = codes.ravel()
+    grad = np.empty((n_rows, dX.shape[-1]))
+    for j in range(dX.shape[-1]):
+        grad[:, j] = np.bincount(index, weights=dX[..., j].ravel(), minlength=n_rows)
+    return grad
 
 
 @dataclass
@@ -196,6 +219,9 @@ class QNetwork:
         self.head_b2 = head_b2
         self.d_emb = d_emb
         self.hidden = hidden
+        self._cached_work = {kind: Workspace() for kind in BRANCHES + (_HEAD,)}
+        self._scratch = Workspace()
+        self._live_cache = None   # the one cache whose buffers are intact
 
     @classmethod
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
@@ -238,6 +264,7 @@ class QNetwork:
                                 n_layers=len(self.branches[SHORT_TERM].lstm),
                                 dtype=self.embedding.values.dtype)
         other.copy_values_from(self)
+        other._scratch = self._scratch
         return other
 
     def copy_values_from(self, other: "QNetwork") -> None:
@@ -267,47 +294,71 @@ class QNetwork:
     def forward_batch(self, enc_states, need_cache: bool = False):
         """Q-values for a batch of encoded states: list of (codes_short,
         codes_episodic, codes_semantic) int32 arrays.  Returns (q (B, A),
-        cache or None)."""
+        cache or None).  q is a new array; the cache views this network's
+        buffers and is good for :meth:`backward_batch` until the next
+        cached forward."""
         V = self.embedding.values.shape[0]
-        table = np.zeros((V + 1, self.d_emb), dtype=self.embedding.values.dtype)
+        dtype = self.embedding.values.dtype
+        table = np.zeros((V + 1, self.d_emb), dtype=dtype)
         table[:V] = self.embedding.values
+        if need_cache:
+            self._live_cache = None   # let buffers that must grow free their old arrays
+        scratch = self._scratch
+        head = self._cached_work[_HEAD] if need_cache else scratch
+        B, h = len(enc_states), self.hidden
+        cat = head.take("cat", (B, len(BRANCHES) * h), dtype)
         branch_caches = {}
-        feats = []
         for bi, kind in enumerate(BRANCHES):
-            codes, lengths = _pad_codes([enc[bi] for enc in enc_states], V)
+            work = self._cached_work[kind] if need_cache else scratch
+            codes, lengths = _pad_codes([enc[bi] for enc in enc_states], V, work)
             pack = Packing(lengths)
             branch = self.branches[kind]
-            h_last, lstm_caches = lstm_batch_forward(_embed(table, codes), pack, branch.lstm,
-                                                     need_cache=need_cache)
-            z, lin_x = linear_forward(h_last, branch.w, branch.b)
-            a, relu_m = relu_forward(z)
-            feats.append(a)
+            h_last, lstm_caches = lstm_batch_forward(_embed(table, codes, scratch), pack,
+                                                     branch.lstm, need_cache=need_cache,
+                                                     work=work)
+            z, lin_x = linear_forward(h_last, branch.w, branch.b,
+                                      out=scratch.take("z", (B, h), dtype))
+            _, relu_m = relu_forward(z, out=cat[:, bi * h:(bi + 1) * h],
+                                     mask=work.take("relu_mask", (B, h), bool))
             if need_cache:
                 branch_caches[kind] = (codes, pack, lstm_caches, lin_x, relu_m)
-        cat = np.concatenate(feats, axis=1)
-        z1, x1 = linear_forward(cat, self.head_w1, self.head_b1)
-        a1, m1 = relu_forward(z1)
+        z1, x1 = linear_forward(cat, self.head_w1, self.head_b1,
+                                out=scratch.take("z", (B, h), dtype))
+        a1, m1 = relu_forward(z1, out=head.take("a1", (B, h), dtype),
+                              mask=head.take("relu_mask", (B, h), bool))
         q, x2 = linear_forward(a1, self.head_w2, self.head_b2)
-        cache = (branch_caches, x1, m1, x2) if need_cache else None
+        cache = None
+        if need_cache:
+            cache = self._live_cache = (branch_caches, x1, m1, x2)
         return q, cache
 
     def backward_batch(self, cache, dq: np.ndarray) -> None:
-        """Accumulate parameter gradients given dLoss/dQ for a cached batch."""
+        """Accumulate parameter gradients given dLoss/dQ for a cached batch.
+        A cache older than this network's latest cached forward, or made by
+        another network, raises ValueError: its buffers were overwritten."""
+        if cache is not self._live_cache:
+            raise ValueError("stale cache: a later cached forward reused its buffers")
         branch_caches, x1, m1, x2 = cache
-        da1 = linear_backward(x2, self.head_w2, self.head_b2, dq)
-        dz1 = relu_backward(m1, da1)
-        dcat = linear_backward(x1, self.head_w1, self.head_b1, dz1)
-        h = self.hidden
+        scratch = self._scratch
+        B, h = dq.shape[0], self.hidden
+        dtype = self.embedding.values.dtype
+        da1 = linear_backward(x2, self.head_w2, self.head_b2, dq,
+                              out=scratch.take("da1", (B, h), dtype))
+        dz1 = relu_backward(m1, da1, out=da1)
+        dcat = linear_backward(x1, self.head_w1, self.head_b1, dz1,
+                               out=scratch.take("dcat", x1.shape, dtype))
         V = self.embedding.values.shape[0]
         for bi, kind in enumerate(BRANCHES):
             codes, pack, lstm_caches, lin_x, relu_m = branch_caches[kind]
             da = dcat[:, bi * h:(bi + 1) * h]
-            dz = relu_backward(relu_m, da)
+            dz = relu_backward(relu_m, da, out=scratch.take("dz", (B, h), dtype))
             branch = self.branches[kind]
-            dh_last = linear_backward(lin_x, branch.w, branch.b, dz)
+            dh_last = linear_backward(lin_x, branch.w, branch.b, dz,
+                                      out=scratch.take("dh_last", (B, h), dtype))
             if not lstm_caches:  # all-empty branch contributed constant zeros
                 continue
-            dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last)
+            dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last,
+                                     work=scratch)
             self.embedding.grad += _embedding_grad(codes, dX, V + 1)[:V]
 
     # -- persistence ---------------------------------------------------------
@@ -372,7 +423,12 @@ class QNetwork:
             if vals.shape != p.values.shape:
                 raise CheckpointError(
                     f"tensor {p.name} has shape {vals.shape}, expected {p.values.shape}")
-            p.values[...] = vals.astype(dtype, casting="same_kind")
+            if vals.dtype != dtype:
+                raise CheckpointError(
+                    f"tensor {p.name} has dtype {vals.dtype.str}, the header says {dtype.str}")
+            if not np.all(np.isfinite(vals)):
+                raise CheckpointError(f"tensor {p.name} holds a non-finite value")
+            p.values[...] = vals
         return net
 
 

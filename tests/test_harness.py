@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from roommem import harness
 from roommem.configio import ExperimentConfig
 from roommem.env import ConfigError
 from roommem.harness import (
@@ -150,6 +153,53 @@ def test_sweep_worker_pool_matches_serial(tiny_env, tmp_path):
     assert serial == pooled
     assert (tmp_path / "a" / "results.csv").read_bytes() == \
         (tmp_path / "b" / "results.csv").read_bytes()
+
+
+def test_rl_sweep_runs_each_cell_on_one_blas_thread(tiny_env, tmp_path, monkeypatch):
+    """Trained parameters depend on the BLAS thread count, so an RL sweep
+    gives the same CSVs serial and pooled only if both paths use one
+    count; the caller's count is back when ``sweep`` returns.  Each cell,
+    in this process or a pool worker, writes the count it runs at to a
+    file named after its process."""
+    cfg = _tiny_experiment(tiny_env, tmp_path, agents=("rl-scratch",),
+                           capacities=(4,), seeds=(0, 1))
+    caller = harness._set_blas_threads(2)
+    if caller is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    counts_dir = tmp_path / "counts"
+    real_run_cell = harness.run_cell
+
+    def spy(*args):
+        count = harness._set_blas_threads(1)   # reads the count, sets what it should be
+        harness._set_blas_threads(count)
+        with open(counts_dir / str(os.getpid()), "a") as fh:
+            fh.write(f"{count}\n")
+        return real_run_cell(*args)
+
+    def counts_by_process():
+        found = {int(f.name): f.read_text().split() for f in counts_dir.iterdir()}
+        for f in counts_dir.iterdir():
+            f.unlink()
+        return found
+
+    monkeypatch.setattr(harness, "run_cell", spy)
+    counts_dir.mkdir()
+    try:
+        serial, _ = sweep(cfg, out_dir=str(tmp_path / "a"))
+        serial_counts = counts_by_process()
+        assert harness._set_blas_threads(2) == 2
+        pooled, _ = sweep(cfg, out_dir=str(tmp_path / "b"), workers=2)
+        pooled_counts = counts_by_process()
+    finally:
+        harness._set_blas_threads(caller)
+    assert serial_counts == {os.getpid(): ["1", "1"]}
+    if pool_size(2, 2, len(os.sched_getaffinity(0))) > 1:
+        assert os.getpid() not in pooled_counts
+        assert sorted(sum(pooled_counts.values(), [])) == ["1", "1"]
+    assert not any(r.failed for r in serial)
+    assert serial == pooled
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.parametrize("requested,n_tasks,n_cpus,expected", [

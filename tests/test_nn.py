@@ -367,8 +367,24 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = ParamTensor.of(np.zeros(2), "w")
-    p.grad[...] = [np.nan, 0.0]
-    opt = Adam([p])
+    """A NaN in the last gradient is found before any value, moment,
+    gradient or the step count changes."""
+    rng = np.random.default_rng(10)
+    params = [ParamTensor.of(rng.normal(size=(2, 3)), f"p{i}") for i in range(3)]
+    opt = Adam(params, lr=0.1)
+    for p in params:
+        p.grad[...] = rng.normal(size=p.values.shape)
+    opt.step()
+    for p in params:
+        p.grad[...] = rng.normal(size=p.values.shape)
+    params[-1].grad[1, 2] = np.nan
+    before = [[a.copy() for a in group]
+              for group in ([p.values for p in params], [p.grad for p in params],
+                            opt._m, opt._v)]
     with pytest.raises(GradientError):
         opt.step()
+    assert opt.t == 1
+    after = ([p.values for p in params], [p.grad for p in params], opt._m, opt._v)
+    for old_group, new_group in zip(before, after):
+        for a, b in zip(old_group, new_group):
+            assert np.array_equal(a, b, equal_nan=True)

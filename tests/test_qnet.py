@@ -1,5 +1,7 @@
 import json
+import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from roommem.memory import (
     SHORT_TERM,
     Quadruple,
 )
-from roommem.nn import GradientError, ParamTensor
+from roommem.nn import Adam, GradientError, ParamTensor, Workspace
 from roommem.qnet import (
     CheckpointError,
     QNetwork,
@@ -23,6 +25,7 @@ from roommem.qnet import (
     greedy_action,
 )
 from roommem.qnet import _embed, _pad_codes
+from roommem.trainer import Transition, td_loss
 
 from .oracles import fd_gradient, max_relative_error
 
@@ -113,8 +116,9 @@ def embed_rows(vocab, net, kind, entries):
     of one sample."""
     emb = net.embedding.values
     table = np.vstack([emb, np.zeros((1, emb.shape[1]))])
-    codes, _ = _pad_codes([encode_system(vocab, kind, entries)], emb.shape[0])
-    return _embed(table, codes)[:, 0, :]
+    work = Workspace()
+    codes, _ = _pad_codes([encode_system(vocab, kind, entries)], emb.shape[0], work)
+    return _embed(table, codes, work)[:, 0, :]
 
 
 def test_kge_rows_zero_relation_slot(vocab, net):
@@ -206,6 +210,102 @@ def test_forward_batch_with_a_branch_empty_in_every_sample(vocab, net):
         assert all(np.all(p.grad == 0.0) for p in layer.parameters())
     assert np.any(net.branches[SEMANTIC].b.grad != 0.0)
     assert np.any(net.branches[EPISODIC].lstm[0].w_x.grad != 0.0)
+
+
+def test_a_cache_lives_until_the_next_cached_forward(vocab, net):
+    """Forward buffers are the network's own and reused: uncached forwards
+    here or elsewhere leave a cache's gradients as they were, and a later
+    cached forward on the same network makes the cache stale.  A forked
+    child's forwards write to the child's copy of the buffers."""
+    small = [state_of(short=[epi("Ann", "bowl", "desk", 0)],
+                      episodic=[epi("Bob", "mug", "lap", 1)]),
+             state_of(semantic=[sem("mug", "lap", 1)])]
+    large = [state_of(short=[epi("Cam", "mug", "bed", 2)],
+                      episodic=[epi("Ann", "bowl", "bed", t) for t in range(5)],
+                      semantic=[sem("bowl", "desk", s) for s in range(4)])] * 4
+    enc_small = [encode_state(vocab, s) for s in small]
+    enc_large = [encode_state(vocab, s) for s in large]
+    dq = np.random.default_rng(3).normal(size=(2, 3))
+    other = net.clone()
+
+    def grads(between):
+        for p in net.parameters():
+            p.grad[...] = 0.0
+        _, cache = net.forward_batch(enc_small, need_cache=True)
+        between()
+        net.backward_batch(cache, dq)
+        return [p.grad.copy() for p in net.parameters()]
+
+    alone = grads(lambda: None)
+    interleaved = grads(lambda: (net.forward_batch(enc_large), net.forward(large[0]),
+                                 other.forward_batch(enc_large, need_cache=True)))
+    for p, a, b in zip(net.parameters(), alone, interleaved):
+        assert np.array_equal(a, b), p.name
+
+    _, first = net.forward_batch(enc_small, need_cache=True)
+    net.forward_batch(enc_large, need_cache=True)
+    with pytest.raises(ValueError):
+        net.backward_batch(first, dq)
+
+    def forked_child_runs_forwards():
+        pid = os.fork()
+        if pid == 0:   # the child overwrites its copy of every buffer, then leaves
+            net.forward_batch(enc_large, need_cache=True)
+            net.forward_batch(enc_large)
+            os._exit(0)
+        os.waitpid(pid, 0)
+
+    for p, a, b in zip(net.parameters(), alone, grads(forked_child_runs_forwards)):
+        assert np.array_equal(a, b), p.name
+
+
+def _desk_like_batch(vocab, rng, batch=128, longest=16):
+    """Transitions with ready encodings: one short-term entry and up to
+    ``longest`` episodic and semantic entries per state."""
+    n_humans, n_objects = len(vocab.humans), len(vocab.objects)
+
+    def codes(n, semantic):
+        owner = rng.integers(1, 1 + n_humans, size=n)
+        obj = rng.integers(1 + n_humans, 1 + n_humans + n_objects, size=n)
+        loc = rng.integers(1 + n_humans + n_objects, vocab.n_tokens, size=n)
+        rows = np.stack([obj, np.full(n, -1), loc] if semantic else [owner, obj, loc], axis=1)
+        return rows.astype(np.int32)
+
+    def enc():
+        return (codes(1, False), codes(int(rng.integers(0, longest + 1)), False),
+                codes(int(rng.integers(0, longest + 1)), True))
+
+    return [Transition((), int(rng.integers(3)), int(rng.integers(2)), (), bool(i % 7 == 0),
+                       enc(), enc())
+            for i in range(batch)]
+
+
+def test_warm_td_step_allocates_a_fraction_of_the_first():
+    """Every batch-sized array of a TD step lives in a network's reusable
+    buffers, so once the first step has made them a step of the same
+    shape allocates little: at a desk-like shape (B=128, fp32, sequences
+    up to 16) a warm td_loss + Adam.step peaks at under a quarter of the
+    first step's transient allocation."""
+    rng = np.random.default_rng(5)
+    kb = generate_synthetic_kb(7, 16, 28)
+    vocab = Vocabulary.build([f"h{i}" for i in range(64)], kb)
+    online = QNetwork.create(vocab, seed=1, d_emb=32, hidden=64, n_layers=2,
+                             dtype=np.float32)
+    target = online.clone()
+    optimizer = Adam(online.parameters())
+    batch = _desk_like_batch(vocab, rng)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            td_loss(batch, online, target, 0.65)
+            optimizer.step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[1:]) <= 0.25 * peaks[0], peaks
 
 
 def test_full_network_gradient_fd(vocab, net):
@@ -329,11 +429,24 @@ def _set_header(arrays, **changes):
     lambda a: a.pop("head1.w"),
     lambda a: a.update({"head1.w": a["head1.w"][:, :-1]}),
     lambda a: a.update({"head1.w": np.array([object()] * 3)}),
-], ids=["version", "dtype", "shape", "vocab", "json", "missing", "tensor_shape", "object"])
+    lambda a: a.update({"head1.w": a["head1.w"].astype(np.float32)}),
+    lambda a: a["head1.w"].__setitem__((0, 0), np.inf),
+    lambda a: a["head1.b"].__setitem__(1, np.nan),
+], ids=["version", "dtype", "shape", "vocab", "json", "missing", "tensor_shape", "object",
+        "tensor_dtype", "inf", "nan"])
 def test_load_rejects_malformed_header_or_tensor(tmp_path, net, edit):
     path = tmp_path / "net.ckpt"
     net.save(path)
     _rewrite_archive(path, edit)
+    with pytest.raises(CheckpointError):
+        QNetwork.load(path)
+
+
+def test_load_rejects_a_float64_tensor_in_a_float32_checkpoint(tmp_path, vocab):
+    """Cast to float32, 1e300 would load as inf."""
+    path = tmp_path / "net.ckpt"
+    QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, n_layers=2, dtype=np.float32).save(path)
+    _rewrite_archive(path, lambda a: a.update({"head1.w": np.full(a["head1.w"].shape, 1e300)}))
     with pytest.raises(CheckpointError):
         QNetwork.load(path)
 
