@@ -93,20 +93,31 @@ class RandomPolicy(Policy):
 
 
 class GreedyQ(Policy):
-    """Argmax of a Q-network's values; exposes them for tracing."""
+    """Argmax of the Q-values of a read-only snapshot of ``net``, taken
+    when the policy is made: training ``net`` later does not change the
+    policy, and ``self.net``'s parameter arrays refuse writes.
+
+    Each decision moves the short-term entry into at most one long-term
+    system, so from one step of an episode to the next at least one
+    long-term branch sees the same codes.  The policy keeps every branch
+    vector it has computed, so each distinct code sequence runs through its
+    branch once per policy (see :meth:`QNetwork.forward_batch`'s memo)."""
 
     def __init__(self, net: QNetwork):
-        self.net = net
+        self.net = net.clone()
+        for p in self.net.parameters():
+            p.values.flags.writeable = False
+        self._memo: dict = {}
 
     def act(self, state, q=None):
         """``q``, when given, is the state's Q-values from a batched forward."""
         if q is None:
-            q = self.net.forward(state)
+            q = self.net.forward_states([state], memo=self._memo)[0]
         return greedy_action(q), q
 
     def act_batch(self, states):
         """One forward over every state; each decision still goes through act()."""
-        q = self.net.forward_states(states)
+        q = self.net.forward_states(states, memo=self._memo)
         return [self.act(state, row) for state, row in zip(states, q)]
 
 

@@ -28,12 +28,22 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
 from .kb import KnowledgeBase
-from .memory import EPISODIC, SEMANTIC, SHORT_TERM, N_ACTIONS, strip_owner
+from .memory import (
+    EPISODIC,
+    SEMANTIC,
+    SHORT_TERM,
+    N_ACTIONS,
+    MalformedHeadError,
+    format_head,
+    strip_owner,
+)
 from .nn import (
     GradientError,
     LstmLayer,
@@ -109,13 +119,31 @@ class Vocabulary:
         except KeyError:
             raise VocabError(f"unknown name {name!r}") from None
 
+    @cached_property
+    def _lookup(self) -> tuple[dict, dict, dict]:
+        """(owned heads, bare heads, tails): each "<human>'s <object>" head,
+        each object and each location mapped to the tokens that
+        :func:`_entry_tokens` gives it.  Built on the first encode."""
+        owned = {}
+        for head in (format_head(h, o) for h in self.humans for o in self.objects):
+            try:
+                owned[head] = _head_tokens(self, EPISODIC, head)
+            except (VocabError, MalformedHeadError):
+                pass   # splits into no two names of the vocabulary; _entry_tokens raises
+        bare = {o: _head_tokens(self, SEMANTIC, o) for o in self.objects}
+        return owned, bare, {loc: self._tokens[loc] for loc in self.locations}
+
+
+def _head_tokens(vocab: Vocabulary, kind: str, head: str) -> tuple[int, int]:
+    if kind == SEMANTIC:
+        return vocab.token(head), -1
+    owner, obj = strip_owner(head)
+    return vocab.token(owner), vocab.token(obj)
+
 
 def _entry_tokens(vocab: Vocabulary, kind: str, entry) -> tuple[int, int, int]:
     loc_tok = vocab.token(entry.tail)
-    if kind == SEMANTIC:
-        return vocab.token(entry.head), -1, loc_tok
-    owner, obj = strip_owner(entry.head)
-    return vocab.token(owner), vocab.token(obj), loc_tok
+    return _head_tokens(vocab, kind, entry.head) + (loc_tok,)
 
 
 def encode_system(vocab: Vocabulary, kind: str, entries) -> np.ndarray:
@@ -123,11 +151,16 @@ def encode_system(vocab: Vocabulary, kind: str, entries) -> np.ndarray:
 
     Rows are (tok_a, tok_b, tok_tail) int32; tok_b is -1 for semantic
     entries, whose head is a bare object."""
-    order = sorted(range(len(entries)), key=lambda i: entries[i].value)
-    rows = np.empty((len(entries), 3), dtype=np.int32)
-    for r, i in enumerate(order):
-        rows[r] = _entry_tokens(vocab, kind, entries[i])
-    return rows
+    if not entries:
+        return np.empty((0, 3), dtype=np.int32)
+    entries = sorted(entries, key=attrgetter("value"))
+    owned, bare, tails = vocab._lookup
+    heads = bare if kind == SEMANTIC else owned
+    try:
+        rows = [heads[e.head] + (tails[e.tail],) for e in entries]
+    except KeyError:   # a name outside the tables: the per-entry path finds it or raises
+        rows = [_entry_tokens(vocab, kind, e) for e in entries]
+    return np.array(rows, dtype=np.int32)
 
 
 def encode_state(vocab: Vocabulary, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,11 +292,18 @@ class QNetwork:
         return sum(p.size for p in self.parameters())
 
     def clone(self) -> "QNetwork":
-        other = QNetwork.create(self.vocab, seed=0, d_emb=self.d_emb,
-                                hidden=self.hidden,
-                                n_layers=len(self.branches[SHORT_TERM].lstm),
-                                dtype=self.embedding.values.dtype)
-        other.copy_values_from(self)
+        """A network with copies of this one's parameter arrays (writeable,
+        gradients zero) that shares its scratch workspace."""
+        def copy(p: ParamTensor) -> ParamTensor:
+            return ParamTensor.of(p.values.copy(), p.name)
+
+        branches = {kind: _Branch([LstmLayer(*map(copy, layer.parameters()))
+                                   for layer in branch.lstm],
+                                  copy(branch.w), copy(branch.b))
+                    for kind, branch in self.branches.items()}
+        other = QNetwork(self.vocab, copy(self.embedding), branches,
+                         copy(self.head_w1), copy(self.head_b1), copy(self.head_w2),
+                         copy(self.head_b2), self.d_emb, self.hidden)
         other._scratch = self._scratch
         return other
 
@@ -282,48 +322,54 @@ class QNetwork:
         """Q-values for one (short, episodic, semantic) snapshot."""
         return self.forward_states([state])[0]
 
-    def forward_states(self, states) -> np.ndarray:
-        """Q-values (B, A) for a list of snapshots, in one batched forward."""
-        q, _ = self.forward_batch([encode_state(self.vocab, s) for s in states])
+    def forward_states(self, states, memo: dict | None = None) -> np.ndarray:
+        """Q-values (B, A) for a list of snapshots, in one batched forward;
+        ``memo`` as for :meth:`forward_batch`."""
+        q, _ = self.forward_batch([encode_state(self.vocab, s) for s in states], memo=memo)
         return q
 
     def forward_encoded(self, enc) -> np.ndarray:
         q, _ = self.forward_batch([enc], need_cache=False)
         return q[0]
 
-    def forward_batch(self, enc_states, need_cache: bool = False):
+    def forward_batch(self, enc_states, need_cache: bool = False,
+                      memo: dict | None = None):
         """Q-values for a batch of encoded states: list of (codes_short,
         codes_episodic, codes_semantic) int32 arrays.  Returns (q (B, A),
         cache or None).  q is a new array; the cache views this network's
         buffers and is good for :meth:`backward_batch` until the next
-        cached forward."""
+        cached forward.
+
+        ``memo``, for uncached forwards while the parameters stay fixed,
+        maps each branch name to a dict from a code sequence's bytes to its
+        branch vector.  A branch then runs only its sequences that are not
+        in the memo yet, each once, and adds their vectors."""
         V = self.embedding.values.shape[0]
         dtype = self.embedding.values.dtype
         table = np.zeros((V + 1, self.d_emb), dtype=dtype)
         table[:V] = self.embedding.values
         if need_cache:
             self._live_cache = None   # let buffers that must grow free their old arrays
-        scratch = self._scratch
-        head = self._cached_work[_HEAD] if need_cache else scratch
+        head = self._cached_work[_HEAD] if need_cache else self._scratch
         B, h = len(enc_states), self.hidden
         cat = head.take("cat", (B, len(BRANCHES) * h), dtype)
         branch_caches = {}
         for bi, kind in enumerate(BRANCHES):
-            work = self._cached_work[kind] if need_cache else scratch
-            codes, lengths = _pad_codes([enc[bi] for enc in enc_states], V, work)
-            pack = Packing(lengths)
-            branch = self.branches[kind]
-            h_last, lstm_caches = lstm_batch_forward(_embed(table, codes, scratch), pack,
-                                                     branch.lstm, need_cache=need_cache,
-                                                     work=work)
-            z, lin_x = linear_forward(h_last, branch.w, branch.b,
-                                      out=scratch.take("z", (B, h), dtype))
-            _, relu_m = relu_forward(z, out=cat[:, bi * h:(bi + 1) * h],
-                                     mask=work.take("relu_mask", (B, h), bool))
-            if need_cache:
-                branch_caches[kind] = (codes, pack, lstm_caches, lin_x, relu_m)
+            seqs = [enc[bi] for enc in enc_states]
+            out = cat[:, bi * h:(bi + 1) * h]
+            if memo is None:
+                branch_caches[kind] = self._branch_forward(kind, seqs, table, out, need_cache)
+                continue
+            known = memo.setdefault(kind, {})
+            keys = [s.tobytes() for s in seqs]
+            fresh = {k: s for k, s in zip(keys, seqs) if k not in known}
+            if fresh:
+                vectors = np.empty((len(fresh), h), dtype)
+                self._branch_forward(kind, list(fresh.values()), table, vectors, False)
+                known.update(zip(fresh, vectors))
+            np.stack([known[k] for k in keys], out=out)
         z1, x1 = linear_forward(cat, self.head_w1, self.head_b1,
-                                out=scratch.take("z", (B, h), dtype))
+                                out=self._scratch.take("z", (B, h), dtype))
         a1, m1 = relu_forward(z1, out=head.take("a1", (B, h), dtype),
                               mask=head.take("relu_mask", (B, h), bool))
         q, x2 = linear_forward(a1, self.head_w2, self.head_b2)
@@ -331,6 +377,25 @@ class QNetwork:
         if need_cache:
             cache = self._live_cache = (branch_caches, x1, m1, x2)
         return q, cache
+
+    def _branch_forward(self, kind: str, seqs: list[np.ndarray], table: np.ndarray,
+                        out: np.ndarray, need_cache: bool):
+        """Branch ``kind``'s post-ReLU vectors of ``seqs`` into ``out``;
+        returns the branch's cache, None when ``need_cache`` is false."""
+        scratch = self._scratch
+        work = self._cached_work[kind] if need_cache else scratch
+        V = table.shape[0] - 1
+        n, h = len(seqs), self.hidden
+        codes, lengths = _pad_codes(seqs, V, work)
+        pack = Packing(lengths)
+        branch = self.branches[kind]
+        h_last, lstm_caches = lstm_batch_forward(_embed(table, codes, scratch), pack,
+                                                 branch.lstm, need_cache=need_cache,
+                                                 work=work)
+        z, lin_x = linear_forward(h_last, branch.w, branch.b,
+                                  out=scratch.take("z", (n, h), table.dtype))
+        _, relu_m = relu_forward(z, out=out, mask=work.take("relu_mask", (n, h), bool))
+        return (codes, pack, lstm_caches, lin_x, relu_m) if need_cache else None
 
     def backward_batch(self, cache, dq: np.ndarray) -> None:
         """Accumulate parameter gradients given dLoss/dQ for a cached batch.

@@ -29,3 +29,18 @@ def small_kb():
     from roommem.kb import generate_synthetic_kb
 
     return generate_synthetic_kb(7, 5, 6)
+
+
+@pytest.fixture
+def lstm_batch_sizes(monkeypatch):
+    """The batch size of every LSTM stack that a Q-network runs from here on."""
+    import roommem.qnet as qnet
+
+    sizes = []
+    inner = qnet.lstm_batch_forward
+
+    def counted(X, *args, **kwargs):
+        sizes.append(X.shape[1])
+        return inner(X, *args, **kwargs)
+    monkeypatch.setattr(qnet, "lstm_batch_forward", counted)
+    return sizes

@@ -6,9 +6,11 @@ import pytest
 
 from roommem.env import ConfigError, EnvConfig
 from roommem.memory import EPISODIC, SEMANTIC, SHORT_TERM, TO_EPISODIC, TO_SEMANTIC
+from roommem.nn import Adam
 from roommem.policies import (
     EpisodicOnly,
     GreedyQ,
+    Policy,
     RandomPolicy,
     SemanticOnly,
     episode_totals,
@@ -16,7 +18,7 @@ from roommem.policies import (
     play,
     run_episode,
 )
-from roommem.qnet import QNetwork
+from roommem.qnet import QNetwork, encode_state, greedy_action
 from roommem.seeding import derive_rng, derive_seed
 from roommem.trainer import build_vocabulary
 
@@ -231,3 +233,75 @@ def test_greedy_evaluation_runs_one_forward_per_time_step(tiny_env, monkeypatch)
     assert all(len(args[0]) == n for args, _ in calls["forward_batch"])
     assert len(calls["act"]) == n * L
     assert all(len(args[0]) == 3 and result[0] in (0, 1, 2) for args, result in calls["act"])
+
+
+# -- the frozen snapshot and its branch memo ----------------------------------
+
+class PlainGreedy(Policy):
+    """Greedy on ``net`` itself, one plain batched forward per step."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def act_batch(self, states):
+        return [(greedy_action(q), q) for q in self.net.forward_states(states)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["scratch", "pretrained"])
+def test_memoized_greedy_matches_a_plain_forward_per_step(tiny_env, dtype, variant,
+                                                          lstm_batch_sizes):
+    vocab, _ = build_vocabulary(tiny_env)
+    net = QNetwork.create(vocab, seed=5, d_emb=4, hidden=6, dtype=dtype)
+    seeds = [derive_seed(21, i) for i in range(5)]
+    plain = list(play(PlainGreedy(net), tiny_env, (4, 4), variant, seeds))
+    lstm_batch_sizes.clear()
+    memo = list(play(GreedyQ(net), tiny_env, (4, 4), variant, seeds))
+    assert [[s.action for s in steps] for steps in memo] == \
+        [[s.action for s in steps] for steps in plain]
+    np.testing.assert_allclose([[s.q_values for s in steps] for steps in memo],
+                               [[s.q_values for s in steps] for steps in plain],
+                               rtol=0, atol=16 * np.finfo(dtype).eps)
+    # each distinct code sequence of each branch ran through its LSTM once
+    distinct = {(bi, codes.tobytes()) for steps in memo for s in steps
+                for bi, codes in enumerate(encode_state(vocab, s.state))}
+    assert sum(lstm_batch_sizes) == len(distinct) < 3 * len(seeds) * tiny_env.episode_length
+    totals = [sum(steps[i].reward for steps in plain) for i in range(len(seeds))]
+    assert episode_totals(GreedyQ(net), tiny_env, 5, 21, (4, 4), variant) == tuple(totals)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["scratch", "pretrained"])
+def test_one_episode_q_values_equal_a_plain_forward_bit_for_bit(tiny_env, dtype, variant):
+    vocab, _ = build_vocabulary(tiny_env)
+    net = QNetwork.create(vocab, seed=5, d_emb=4, hidden=6, dtype=dtype)
+    policy = GreedyQ(net)
+    _, trace = run_episode(policy, tiny_env, (4, 4), variant, seed=9, trace=True)
+    steps = [step for (step,) in play(policy, tiny_env, (4, 4), variant, (9,))]
+    for step, record in zip(steps, trace.records, strict=True):
+        want = net.forward(step.state)
+        assert np.array_equal(step.q_values, want)
+        assert record.q_values == tuple(float(v) for v in want)
+
+
+def test_greedy_q_decides_on_a_frozen_snapshot(tiny_env):
+    vocab, _ = build_vocabulary(tiny_env)
+    net = QNetwork.create(vocab, seed=5, d_emb=4, hidden=6)
+    before = net.clone()
+    policy = GreedyQ(net)
+    rng = np.random.default_rng(0)
+    for p in net.parameters():
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    Adam(net.parameters(), lr=0.5).step()
+    seeds = [derive_seed(3, i) for i in range(4)]
+    states = [s.state for steps in play(EpisodicOnly(), tiny_env, (4, 4), seeds=seeds)
+              for s in steps]
+    want = before.forward_states(states)
+    assert not np.allclose(net.forward_states(states), want)
+    decided = policy.act_batch(states)
+    assert [a for a, _ in decided] == [greedy_action(q) for q in want]
+    np.testing.assert_allclose([q for _, q in decided], want,
+                               rtol=0, atol=16 * np.finfo(np.float64).eps)
+    for p in policy.net.parameters():
+        with pytest.raises(ValueError):
+            p.values[...] = 0.0

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roommem.kb import generate_synthetic_kb
 from roommem.memory import (
@@ -12,7 +13,9 @@ from roommem.memory import (
     RELATION,
     SEMANTIC,
     SHORT_TERM,
+    MalformedHeadError,
     Quadruple,
+    format_head,
 )
 from roommem.nn import Adam, GradientError, ParamTensor, Workspace
 from roommem.qnet import (
@@ -24,7 +27,7 @@ from roommem.qnet import (
     encode_system,
     greedy_action,
 )
-from roommem.qnet import _embed, _pad_codes
+from roommem.qnet import _embed, _entry_tokens, _pad_codes
 from roommem.trainer import Transition, td_loss
 
 from .oracles import fd_gradient, max_relative_error
@@ -109,6 +112,49 @@ def test_encode_semantic_has_no_owner_token(vocab):
 def test_encode_empty_system(vocab):
     rows = encode_system(vocab, EPISODIC, [])
     assert rows.shape == (0, 3)
+
+
+# names over a tiny alphabet, many of them with the "'s " owner separator
+# inside, so that two (human, object) pairs can spell one head
+_names = st.one_of(st.sampled_from(("a", "b", "c", "a's", "a's b", "b's c", "'s c", "c's ")),
+                   st.text("ab' s", min_size=1, max_size=4))
+
+
+@st.composite
+def _vocab_and_entries(draw):
+    names = draw(st.lists(_names, min_size=3, max_size=9, unique=True))
+    cut1 = draw(st.integers(1, len(names) - 2))
+    cut2 = draw(st.integers(cut1 + 1, len(names) - 1))
+    humans, objects, locations = names[:cut1], names[cut1:cut2], names[cut2:]
+    name = st.one_of(st.sampled_from(names), _names)
+    owned = st.builds(format_head, st.sampled_from(humans), st.sampled_from(objects))
+    head = st.one_of(owned, owned, st.sampled_from(objects), st.builds(format_head, name, name),
+                     name)
+    tail = st.one_of(st.sampled_from(locations), st.sampled_from(locations), name)
+    entry = st.builds(Quadruple, head, st.just(RELATION), tail, st.integers(0, 3))
+    kind = draw(st.sampled_from((SHORT_TERM, EPISODIC, SEMANTIC)))
+    vocab = Vocabulary(tuple(humans), tuple(objects), tuple(locations))
+    return vocab, kind, draw(st.lists(entry, max_size=6))
+
+
+@settings(max_examples=400)
+@given(_vocab_and_entries())
+def test_encode_system_matches_the_per_entry_path(case):
+    # the token tables give the rows, the dtype and the order that
+    # _entry_tokens gives, and the same error where it raises
+    vocab, kind, entries = case
+    order = sorted(range(len(entries)), key=lambda i: entries[i].value)
+    try:
+        want = np.array([_entry_tokens(vocab, kind, entries[i]) for i in order],
+                        dtype=np.int32).reshape(len(entries), 3)
+    except (VocabError, MalformedHeadError) as exc:
+        with pytest.raises(type(exc)) as got:
+            encode_system(vocab, kind, entries)
+        assert str(got.value) == str(exc)
+        return
+    rows = encode_system(vocab, kind, entries)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, want)
 
 
 def embed_rows(vocab, net, kind, entries):
@@ -210,6 +256,37 @@ def test_forward_batch_with_a_branch_empty_in_every_sample(vocab, net):
         assert all(np.all(p.grad == 0.0) for p in layer.parameters())
     assert np.any(net.branches[SEMANTIC].b.grad != 0.0)
     assert np.any(net.branches[EPISODIC].lstm[0].w_x.grad != 0.0)
+
+
+def test_forward_batch_memo_runs_each_distinct_sequence_once(vocab, net, lstm_batch_sizes):
+    a, b = epi("Ann", "bowl", "desk", 0), epi("Bob", "mug", "lap", 1)
+    states = [state_of(short=[a], episodic=[b]), state_of(short=[b], episodic=[b]),
+              state_of(short=[a], episodic=[a, b]), state_of(short=[a], episodic=[b])]
+    enc = [encode_state(vocab, s) for s in states]
+    plain, _ = net.forward_batch(enc)
+    sizes = lstm_batch_sizes
+    sizes.clear()
+    memo = {}
+    q, cache = net.forward_batch(enc, memo=memo)
+    assert cache is None
+    np.testing.assert_allclose(q, plain, rtol=0, atol=16 * np.finfo(np.float64).eps)
+    # short-term: a, b; episodic: (b), (a, b); semantic: () once
+    assert sorted(sizes) == [1, 2, 2]
+    assert [len(memo[kind]) for kind in (SHORT_TERM, EPISODIC, SEMANTIC)] == [2, 2, 1]
+    again, _ = net.forward_batch(enc[::-1], memo=memo)
+    assert len(sizes) == 3   # every sequence was known
+    np.testing.assert_array_equal(again, q[::-1])
+
+
+def test_forward_batch_memo_at_batch_one_is_bit_identical(vocab, net):
+    states = [state_of(short=[epi("Ann", "bowl", "desk", 3)],
+                       episodic=[epi("Bob", "mug", "lap", 1)]),
+              state_of(short=[epi("Cam", "mug", "bed", 4)],
+                       episodic=[epi("Bob", "mug", "lap", 1)],
+                       semantic=[sem("bowl", "desk", 2)])]
+    memo = {}
+    for s in states + states:
+        assert np.array_equal(net.forward_states([s], memo=memo)[0], net.forward(s))
 
 
 def test_a_cache_lives_until_the_next_cached_forward(vocab, net):
@@ -360,8 +437,14 @@ def test_parameter_count_at_paper_dimensions():
 
 def test_clone_and_copy_values(vocab, net):
     st = state_of(short=[epi("Ann", "bowl", "desk", 0)])
+    net.head_b2.grad += 1.0
     other = net.clone()
-    assert np.allclose(other.forward(st), net.forward(st))
+    assert np.array_equal(other.forward(st), net.forward(st))
+    for p, q in zip(other.parameters(), net.parameters()):
+        assert p.name == q.name and np.array_equal(p.values, q.values)
+        assert not np.shares_memory(p.values, q.values)
+        assert not np.shares_memory(p.grad, q.grad) and not p.grad.any()
+    assert other._scratch is net._scratch
     # clones do not share storage
     other.embedding.values += 1.0
     assert not np.allclose(other.forward(st), net.forward(st))
