@@ -15,9 +15,11 @@ Buffers: :func:`lstm_batch_forward` and :func:`lstm_batch_backward` take
 their batch-sized arrays from a :class:`Workspace`, and the linear and ReLU
 helpers write to ``out`` arrays.  Called without them, as the
 single-sequence helpers and the tests do, each call makes fresh arrays.  A
-caller that passes a workspace owns every array handed out of it: a cache
-built from it stays valid until the next call that takes the same keys
-(:func:`lstm_batch_forward` lists them).  :class:`Adam` keeps its own.
+caller that passes a workspace owns every array handed out of it.  A
+forward's cache lasts until the next forward on the workspace, and the
+backward consumes it: it writes each step's gate gradients over the gate
+rows it has read, as in-place activated BatchNorm does (Rota Bulò et al.
+2018).  :class:`Adam` keeps its own.
 """
 from __future__ import annotations
 
@@ -305,12 +307,10 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     :func:`_gate_layout`); the cache keeps the gates in that layout.
 
     The packed rows come from ``work`` (a fresh :class:`Workspace` when
-    None).  A cached call keeps layer i's rows under keys ``(name, i)``,
-    which its caches view, so they stay valid until the next cached call
-    on the same workspace.  An uncached call reuses one layer's worth of
-    keys ``(name, None)`` for every layer, its outputs alternating between
-    the ``"out"`` and ``"inp"`` keys, and so leaves a cached call's rows
-    alone.  h_last views key ``"h_last"``.
+    None): layer i's under keys ``(name, i)``, cached or not, so a cache
+    stays valid until the next call on the same workspace.  ``need_cache``
+    only decides whether the caches are returned.  h_last views key
+    ``"h_last"``.
     """
     T, B, _ = X.shape
     dtype = layers[0].w_x.values.dtype
@@ -325,21 +325,17 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     caches: list[_LayerCache] = []
     half = dtype.type(0.5)   # a typed scalar skips a conversion per call
     N = pack.rows
-
-    def rows(name, li, width, dt=dtype):
-        return work.take((name, li if need_cache else None), (N, width), dt)
-
-    inp = rows("inp", 0, X.shape[2], X.dtype)
+    inp = work.take(("inp", 0), (N, X.shape[2]), X.dtype)
     np.take(X.reshape(T * B, -1), pack.pos, axis=0, out=inp, mode="clip")
     for li, layer in enumerate(layers):
         h = layer.hidden
         order, scale = _gate_layout(h, dtype)
         w_h_t = _fused(layer.w_h.values, order, scale).T
-        gates = rows("gates", li, 4 * h)
+        gates = work.take(("gates", li), (N, 4 * h), dtype)
         np.matmul(inp, _fused(layer.w_x.values, order, scale).T, out=gates)
         gates += _fused(layer.b.values, order, scale[:, 0])
-        c = rows("c", li, h)
-        out = rows("out" if need_cache or li % 2 == 0 else "inp", li, h)
+        c = work.take(("c", li), (N, h), dtype)
+        out = work.take(("out", li), (N, h), dtype)
         if T > 1:
             rec = work.take("rec", (pack.bs[1], 4 * h), dtype)
         for t, b in enumerate(pack.bs):
@@ -374,9 +370,11 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
     ``pack``; accumulates parameter gradients and returns the gradient on
     the padded input X, zero at steps past each sample's length.
 
-    Its arrays come from ``work`` (a fresh :class:`Workspace` when None),
-    under keys that no forward takes; the returned dX views key
-    ``"padded"``, which a caller may also use for the forward's X.
+    Consumes ``caches``, writing each step's pre-activation gradient over
+    its gate rows once read.  Other arrays come from ``work`` (a fresh
+    :class:`Workspace` when None), under keys that no forward takes; the
+    returned dX views key ``"padded"``, which a caller may also use for
+    the forward's X.
     """
     dtype = layers[0].w_x.values.dtype
     if work is None:
@@ -400,8 +398,9 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
         h = layer.hidden
         order, _ = _gate_layout(h, dtype)
         w_h = layer.w_h.values[order]
-        DZ = work.take("DZ", (N, 4 * h), dtype)
-        # per-step local derivatives: of every gate, and tanh(c) then 1 - tanh(c)^2
+        # per step: the gate gradients before the local derivatives, the
+        # local derivatives of every gate, and tanh(c) then 1 - tanh(c)^2
+        dzs = work.take("dz_step", (B0, 4 * h), dtype)
         dgate = work.take("dgate", (B0, 4 * h), dtype)
         dtc = work.take("dtc", (B0, h), dtype)
         tmp = work.take("tmp", (B0, h), dtype)
@@ -419,7 +418,7 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             if d_above is not None:
                 dht += d_above[r]
             a = gates[r]
-            dz = DZ[r]
+            dz = dzs[:b]
             dct = dc[:b]
             dtct = np.tanh(c[r], out=dtc[:b])
             np.multiply(dht, dtct, out=dz[:, 2 * h:3 * h])
@@ -440,10 +439,11 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             g = a[:, 3 * h:]
             np.multiply(g, g, out=dg[:, 3 * h:])
             np.subtract(1.0, dg[:, 3 * h:], out=dg[:, 3 * h:])
-            dz *= dg
             dct *= a[:, h:2 * h]
+            dz = np.multiply(dz, dg, out=a)   # a's last read: its rows now hold dz
             if t:
                 np.matmul(dz, w_h, out=dht)
+        DZ = gates   # every row now holds its step's pre-activation gradient
         h_prev = work.take("h_prev", (N - B0, h), dtype)
         np.take(cache.out, prev, axis=0, out=h_prev, mode="clip")
         layer.w_x.grad[order] += DZ.T @ cache.inp

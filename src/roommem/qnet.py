@@ -11,23 +11,22 @@ One branch per memory system: encode, two LSTM layers, linear + ReLU.
 The three branch vectors concatenate into a shared head that emits one
 Q-value per management action.
 
-Buffers: a :class:`QNetwork` owns the batch-sized arrays of its forward
-and backward passes and reuses them from batch to batch.  Each branch, and
-the shared head, has a workspace for cached forwards; one scratch
-workspace serves uncached forwards, the backward, and every forward's
-padded embeddings.  So a cache from ``forward_batch(..., need_cache=True)``
-stays valid through any number of uncached forwards, until the network's
-next cached forward, after which :meth:`QNetwork.backward_batch` refuses
-it.  Only the returned Q-values are new arrays.  No cache views the
-scratch, so a network shares it with its clones (the trainer's target
-network among them): calls on a network and its clones must not run at
-the same time, which nothing in roommem does.
+Buffers: a :class:`QNetwork` and its clones (the trainer's target network,
+``GreedyQ``'s snapshot, ``train``'s best-epoch copy) form one family that
+owns the batch-sized arrays of their passes and reuses them from batch to
+batch: a workspace per branch and one for the head, which every forward
+runs in, and a scratch for the padded embeddings and the backward.  A
+cache from ``forward_batch(..., need_cache=True)`` serves one
+:meth:`QNetwork.backward_batch` on its network, which writes gradients
+over it, until the next forward on the family overwrites it; any other
+cache is refused.  Only the returned Q-values are new arrays.  Calls on
+one family must not run at the same time, which nothing in roommem does.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
@@ -74,7 +73,8 @@ _CKPT_HEADER = "header"   # archive member holding the JSON header
 _CKPT_DTYPES = ("<f4", "<f8")
 
 BRANCHES = (SHORT_TERM, EPISODIC, SEMANTIC)
-_HEAD = "head"   # key of the shared head's cached buffers, beside the branches'
+_HEAD = "head"   # key of the shared head's buffers, beside the branches'
+_STALE = (None, None)
 
 
 class VocabError(KeyError):
@@ -223,6 +223,15 @@ def _embedding_grad(codes: np.ndarray, dX: np.ndarray, n_rows: int) -> np.ndarra
 
 
 @dataclass
+class _Buffers:
+    """A network family's workspaces, and (network, cache) of its one intact cache."""
+
+    work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
+    scratch: Workspace = field(default_factory=Workspace)
+    live: tuple = _STALE
+
+
+@dataclass
 class _Branch:
     lstm: list[LstmLayer]
     w: ParamTensor
@@ -252,9 +261,7 @@ class QNetwork:
         self.head_b2 = head_b2
         self.d_emb = d_emb
         self.hidden = hidden
-        self._cached_work = {kind: Workspace() for kind in BRANCHES + (_HEAD,)}
-        self._scratch = Workspace()
-        self._live_cache = None   # the one cache whose buffers are intact
+        self._buffers = _Buffers()
 
     @classmethod
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
@@ -291,9 +298,13 @@ class QNetwork:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    @property
+    def _scratch(self) -> Workspace:
+        return self._buffers.scratch
+
     def clone(self) -> "QNetwork":
         """A network with copies of this one's parameter arrays (writeable,
-        gradients zero) that shares its scratch workspace."""
+        gradients zero) in this one's buffer family."""
         def copy(p: ParamTensor) -> ParamTensor:
             return ParamTensor.of(p.values.copy(), p.name)
 
@@ -304,7 +315,7 @@ class QNetwork:
         other = QNetwork(self.vocab, copy(self.embedding), branches,
                          copy(self.head_w1), copy(self.head_b1), copy(self.head_w2),
                          copy(self.head_b2), self.d_emb, self.hidden)
-        other._scratch = self._scratch
+        other._buffers = self._buffers
         return other
 
     def copy_values_from(self, other: "QNetwork") -> None:
@@ -336,21 +347,23 @@ class QNetwork:
                       memo: dict | None = None):
         """Q-values for a batch of encoded states: list of (codes_short,
         codes_episodic, codes_semantic) int32 arrays.  Returns (q (B, A),
-        cache or None).  q is a new array; the cache views this network's
-        buffers and is good for :meth:`backward_batch` until the next
-        cached forward.
+        cache or None).  q is a new array; the cache views the family's
+        buffers and is good for one :meth:`backward_batch` until the next
+        forward on the family.
 
         ``memo``, for uncached forwards while the parameters stay fixed,
         maps each branch name to a dict from a code sequence's bytes to its
         branch vector.  A branch then runs only its sequences that are not
         in the memo yet, each once, and adds their vectors."""
+        if need_cache and memo is not None:
+            raise ValueError("a memo serves uncached forwards only")
         V = self.embedding.values.shape[0]
         dtype = self.embedding.values.dtype
         table = np.zeros((V + 1, self.d_emb), dtype=dtype)
         table[:V] = self.embedding.values
-        if need_cache:
-            self._live_cache = None   # let buffers that must grow free their old arrays
-        head = self._cached_work[_HEAD] if need_cache else self._scratch
+        buffers = self._buffers
+        buffers.live = _STALE   # also lets buffers that must grow free their old arrays
+        head = buffers.work[_HEAD]
         B, h = len(enc_states), self.hidden
         cat = head.take("cat", (B, len(BRANCHES) * h), dtype)
         branch_caches = {}
@@ -375,7 +388,8 @@ class QNetwork:
         q, x2 = linear_forward(a1, self.head_w2, self.head_b2)
         cache = None
         if need_cache:
-            cache = self._live_cache = (branch_caches, x1, m1, x2)
+            cache = (branch_caches, x1, m1, x2)
+            buffers.live = (self, cache)
         return q, cache
 
     def _branch_forward(self, kind: str, seqs: list[np.ndarray], table: np.ndarray,
@@ -383,7 +397,7 @@ class QNetwork:
         """Branch ``kind``'s post-ReLU vectors of ``seqs`` into ``out``;
         returns the branch's cache, None when ``need_cache`` is false."""
         scratch = self._scratch
-        work = self._cached_work[kind] if need_cache else scratch
+        work = self._buffers.work[kind]
         V = table.shape[0] - 1
         n, h = len(seqs), self.hidden
         codes, lengths = _pad_codes(seqs, V, work)
@@ -398,11 +412,13 @@ class QNetwork:
         return (codes, pack, lstm_caches, lin_x, relu_m) if need_cache else None
 
     def backward_batch(self, cache, dq: np.ndarray) -> None:
-        """Accumulate parameter gradients given dLoss/dQ for a cached batch.
-        A cache older than this network's latest cached forward, or made by
-        another network, raises ValueError: its buffers were overwritten."""
-        if cache is not self._live_cache:
-            raise ValueError("stale cache: a later cached forward reused its buffers")
+        """Accumulate parameter gradients given dLoss/dQ for a cached batch,
+        consuming the cache.  Any cache but the family's latest, or one that
+        another network made, raises ValueError."""
+        owner, live = self._buffers.live
+        if owner is not self or live is not cache:
+            raise ValueError("stale cache: a later forward or a backward reused its buffers")
+        self._buffers.live = _STALE   # the LSTM backward writes its gradients over the cache
         branch_caches, x1, m1, x2 = cache
         scratch = self._scratch
         B, h = dq.shape[0], self.hidden

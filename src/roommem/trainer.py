@@ -174,12 +174,14 @@ def _encodings(net: QNetwork, batch: list[Transition], nxt: bool) -> list[tuple]
 def td_loss(batch: list[Transition], online: QNetwork, target: QNetwork,
             gamma: float) -> float:
     """Mean Huber TD error over the batch; accumulates gradients into the
-    online network only.  Terminal transitions bootstrap nothing."""
+    online network only.  Terminal transitions bootstrap nothing.  The
+    target forward runs first: a target made by ``online.clone()`` shares
+    the online buffers, so a later one would overwrite the online cache."""
     if not batch:
         raise ValueError("empty batch")
     B = len(batch)
-    q, cache = online.forward_batch(_encodings(online, batch, nxt=False), need_cache=True)
     q_next, _ = target.forward_batch(_encodings(target, batch, nxt=True), need_cache=False)
+    q, cache = online.forward_batch(_encodings(online, batch, nxt=False), need_cache=True)
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
     live = np.array([0.0 if t.done else 1.0 for t in batch])
     targets = rewards + gamma * q_next.max(axis=1) * live

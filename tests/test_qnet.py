@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -19,6 +20,7 @@ from roommem.memory import (
 )
 from roommem.nn import Adam, GradientError, ParamTensor, Workspace
 from roommem.qnet import (
+    BRANCHES,
     CheckpointError,
     QNetwork,
     VocabError,
@@ -246,9 +248,10 @@ def test_forward_batch_with_a_branch_empty_in_every_sample(vocab, net):
         state_of(),
     ]
     enc = [encode_state(vocab, s) for s in states]
+    single = [net.forward(s) for s in states]   # before the cached forward: a forward ends a cache
     Q, cache = net.forward_batch(enc, need_cache=True)
-    for i, s in enumerate(states):
-        assert np.allclose(Q[i], net.forward(s), atol=1e-12)
+    for i in range(len(states)):
+        assert np.allclose(Q[i], single[i], atol=1e-12)
     for p in net.parameters():
         p.grad[...] = 0.0
     net.backward_batch(cache, np.ones_like(Q))
@@ -289,11 +292,11 @@ def test_forward_batch_memo_at_batch_one_is_bit_identical(vocab, net):
         assert np.array_equal(net.forward_states([s], memo=memo)[0], net.forward(s))
 
 
-def test_a_cache_lives_until_the_next_cached_forward(vocab, net):
-    """Forward buffers are the network's own and reused: uncached forwards
-    here or elsewhere leave a cache's gradients as they were, and a later
-    cached forward on the same network makes the cache stale.  A forked
-    child's forwards write to the child's copy of the buffers."""
+def test_a_cache_lives_until_the_next_forward_on_its_family(vocab, net):
+    """A network and its clones share their buffers, so any later forward
+    on either, cached or not, makes a cache stale, and so does the one
+    backward that consumes it; a clone's cache is not the network's.  A
+    forked child's forwards write to the child's copy of the buffers."""
     small = [state_of(short=[epi("Ann", "bowl", "desk", 0)],
                       episodic=[epi("Bob", "mug", "lap", 1)]),
              state_of(semantic=[sem("mug", "lap", 1)])]
@@ -314,15 +317,22 @@ def test_a_cache_lives_until_the_next_cached_forward(vocab, net):
         return [p.grad.copy() for p in net.parameters()]
 
     alone = grads(lambda: None)
-    interleaved = grads(lambda: (net.forward_batch(enc_large), net.forward(large[0]),
-                                 other.forward_batch(enc_large, need_cache=True)))
-    for p, a, b in zip(net.parameters(), alone, interleaved):
-        assert np.array_equal(a, b), p.name
+    for later in (lambda: net.forward_batch(enc_large), lambda: net.forward(large[0]),
+                  lambda: other.forward_batch(enc_large),
+                  lambda: other.forward_batch(enc_small, need_cache=True),
+                  lambda: net.forward_batch(enc_large, need_cache=True)):
+        _, cache = net.forward_batch(enc_small, need_cache=True)
+        later()
+        with pytest.raises(ValueError):
+            net.backward_batch(cache, dq)
 
-    _, first = net.forward_batch(enc_small, need_cache=True)
-    net.forward_batch(enc_large, need_cache=True)
+    _, cache = net.forward_batch(enc_small, need_cache=True)
+    net.backward_batch(cache, dq)
     with pytest.raises(ValueError):
-        net.backward_batch(first, dq)
+        net.backward_batch(cache, dq)
+    _, theirs = other.forward_batch(enc_small, need_cache=True)
+    with pytest.raises(ValueError):
+        net.backward_batch(theirs, dq)
 
     def forked_child_runs_forwards():
         pid = os.fork()
@@ -334,6 +344,13 @@ def test_a_cache_lives_until_the_next_cached_forward(vocab, net):
 
     for p, a, b in zip(net.parameters(), alone, grads(forked_child_runs_forwards)):
         assert np.array_equal(a, b), p.name
+
+
+def test_forward_batch_rejects_a_memo_with_a_cache(vocab, net):
+    """Memoized branch vectors have no cache to backprop through."""
+    enc = [encode_state(vocab, state_of(short=[epi("Ann", "bowl", "desk", 0)]))]
+    with pytest.raises(ValueError):
+        net.forward_batch(enc, need_cache=True, memo={})
 
 
 def _desk_like_batch(vocab, rng, batch=128, longest=16):
@@ -383,6 +400,66 @@ def test_warm_td_step_allocates_a_fraction_of_the_first():
     finally:
         tracemalloc.stop()
     assert max(peaks[1:]) <= 0.25 * peaks[0], peaks
+
+
+def _desk_like_net(dtype=np.float32, seed=1):
+    kb = generate_synthetic_kb(7, 16, 28)
+    vocab = Vocabulary.build([f"h{i}" for i in range(64)], kb)
+    return QNetwork.create(vocab, seed=seed, d_emb=32, hidden=64, n_layers=2, dtype=dtype)
+
+
+def _family_bytes(net):
+    buffers = net._buffers
+    return sum(a.nbytes for work in (*buffers.work.values(), buffers.scratch)
+               for a in work._flat.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_td_loss_with_a_cloned_target_is_bit_identical(dtype):
+    """A target that shares the online network's buffers gives the loss
+    and gradients of a target with buffers of its own, step after step."""
+    runs = []
+    for shared in (True, False):
+        online = _desk_like_net(dtype)
+        if shared:
+            target = online.clone()
+        else:
+            target = _desk_like_net(dtype, seed=2)
+            target.copy_values_from(online)
+        optimizer = Adam(online.parameters())
+        rng = np.random.default_rng(8)
+        out = []
+        for batch in (32, 48):
+            out.append(td_loss(_desk_like_batch(online.vocab, rng, batch), online, target, 0.65))
+            out.extend(p.grad.copy() for p in online.parameters())
+            optimizer.step()
+        runs.append(out)
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_a_td_step_holds_the_online_rows_and_per_step_gate_gradients():
+    """After a warm td_loss, a network family whose target is a clone holds
+    the buffers of a lone network's cached forward and backward on the
+    same states: the target forward runs in the online rows.  And no
+    buffer outside the branches is as large as a layer's gate rows: the
+    backward writes each step's gate gradients over the gates it has
+    read."""
+    online = _desk_like_net()
+    target = online.clone()
+    batch = [dataclasses.replace(t, enc_next=t.enc_state)
+             for t in _desk_like_batch(online.vocab, np.random.default_rng(5))]
+    for _ in range(2):
+        td_loss(batch, online, target, 0.65)
+
+    lone = _desk_like_net()
+    _, cache = lone.forward_batch([t.enc_state for t in batch], need_cache=True)
+    lone.backward_batch(cache, np.ones((len(batch), 3), np.float32))
+    assert _family_bytes(online) == _family_bytes(lone)
+
+    buffers = online._buffers
+    gates = max(buffers.work[kind]._flat[("gates", 0)].nbytes for kind in BRANCHES)
+    assert max(a.nbytes for a in buffers.scratch._flat.values()) < gates
 
 
 def test_full_network_gradient_fd(vocab, net):
