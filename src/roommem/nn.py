@@ -88,9 +88,10 @@ class Workspace:
     a forked child writes to its own copy.  Held in the heap, a network's
     buffers leave holes there that the small arrays of later work pin, and
     a process that trains one network after another grows with each: with
-    heap arrays, perfbench's desk-train and paper-train peak RSS on a
-    2-CPU Xeon was 7% and 12% above that with maps.  Each map is reported to tracemalloc as numpy
-    reports its own arrays."""
+    heap arrays, perfbench's desk-train peak RSS on a 2-CPU Xeon was 6-10%
+    above that with maps; paper-train's, whose units all clone one network
+    and so reuse its buffers, did not differ in the median.  Each map is
+    reported to tracemalloc as numpy reports its own arrays."""
 
     def __init__(self):
         self._flat: dict = {}

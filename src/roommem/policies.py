@@ -93,9 +93,9 @@ class RandomPolicy(Policy):
 
 
 class GreedyQ(Policy):
-    """Argmax of the Q-values of a read-only snapshot of ``net``, taken
-    when the policy is made: training ``net`` later does not change the
-    policy, and ``self.net``'s parameter arrays refuse writes.
+    """Argmax of the Q-values of ``net.snapshot()``, taken when the policy
+    is made: training ``net`` later does not change the policy, and
+    ``self.net``'s parameter arrays refuse writes.
 
     Each decision moves the short-term entry into at most one long-term
     system, so from one step of an episode to the next at least one
@@ -104,9 +104,7 @@ class GreedyQ(Policy):
     branch once per policy (see :meth:`QNetwork.forward_batch`'s memo)."""
 
     def __init__(self, net: QNetwork):
-        self.net = net.clone()
-        for p in self.net.parameters():
-            p.values.flags.writeable = False
+        self.net = net.snapshot()
         self._memo: dict = {}
 
     def act(self, state, q=None):

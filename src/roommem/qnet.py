@@ -11,8 +11,8 @@ One branch per memory system: encode, two LSTM layers, linear + ReLU.
 The three branch vectors concatenate into a shared head that emits one
 Q-value per management action.
 
-Buffers: a :class:`QNetwork` and its clones (the trainer's target network,
-``GreedyQ``'s snapshot, ``train``'s best-epoch copy) form one family that
+Buffers: a :class:`QNetwork` and its copies (the trainer's target network,
+``GreedyQ``'s snapshot, ``train``'s best net) form one family that
 owns the batch-sized arrays of their passes and reuses them from batch to
 batch: a workspace per branch and one for the head, which every forward
 runs in, and a scratch for the padded embeddings and the backward.  A
@@ -237,94 +237,92 @@ class _Branch:
     w: ParamTensor
     b: ParamTensor
 
-    def parameters(self) -> list[ParamTensor]:
-        out: list[ParamTensor] = []
-        for layer in self.lstm:
-            out.extend(layer.parameters())
-        out.extend([self.w, self.b])
-        return out
-
 
 class QNetwork:
-    """Three encode-LSTM-linear branches feeding a shared two-layer head."""
+    """Three encode-LSTM-linear branches feeding a shared two-layer head.
 
-    def __init__(self, vocab: Vocabulary, embedding: ParamTensor,
-                 branches: dict[str, _Branch], head_w1: ParamTensor,
-                 head_b1: ParamTensor, head_w2: ParamTensor, head_b2: ParamTensor,
-                 d_emb: int, hidden: int):
+    The network is its ordered parameter list (:meth:`parameters`): the
+    embedding; per branch in ``BRANCHES`` order each LSTM layer's w_x, w_h
+    and b, then the projection's w and b; then the head's w1, b1, w2, b2.
+    ``embedding``, ``branches`` and ``head_*`` are views of its entries,
+    and every copy of a network copies the list."""
+
+    def __init__(self, vocab: Vocabulary, params: list[ParamTensor]):
         self.vocab = vocab
-        self.embedding = embedding
-        self.branches = branches
-        self.head_w1 = head_w1
-        self.head_b1 = head_b1
-        self.head_w2 = head_w2
-        self.head_b2 = head_b2
-        self.d_emb = d_emb
-        self.hidden = hidden
+        self._params = tuple(params)
+        self.embedding, *body, self.head_w1, self.head_b1, self.head_w2, self.head_b2 = params
+        n = len(body) // len(BRANCHES)
+        self.branches = {}
+        for bi, kind in enumerate(BRANCHES):
+            *lstm, w, b = body[bi * n:(bi + 1) * n]
+            self.branches[kind] = _Branch([LstmLayer(*lstm[i:i + 3])
+                                           for i in range(0, len(lstm), 3)], w, b)
+        self.d_emb = self.embedding.values.shape[1]
+        self.hidden = self.head_w2.values.shape[1]
         self._buffers = _Buffers()
 
     @classmethod
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
                hidden: int = 64, n_layers: int = 2, dtype=np.float64) -> "QNetwork":
         rng = np.random.default_rng(seed)
-        embedding = init_uniform(rng, (vocab.n_tokens, d_emb), d_emb, dtype, "embedding")
-        branches: dict[str, _Branch] = {}
+        params = [init_uniform(rng, (vocab.n_tokens, d_emb), d_emb, dtype, "embedding")]
         for kind in BRANCHES:
-            layers = []
             d_in = 3 * d_emb
             for li in range(n_layers):
-                layers.append(LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}"))
+                params += LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}").parameters()
                 d_in = hidden
-            w = init_uniform(rng, (hidden, hidden), hidden, dtype, f"{kind}.proj.w")
-            b = init_uniform(rng, (hidden,), hidden, dtype, f"{kind}.proj.b")
-            branches[kind] = _Branch(layers, w, b)
+            params += [init_uniform(rng, (hidden, hidden), hidden, dtype, f"{kind}.proj.w"),
+                       init_uniform(rng, (hidden,), hidden, dtype, f"{kind}.proj.b")]
         cat = hidden * len(BRANCHES)
-        head_w1 = init_uniform(rng, (hidden, cat), cat, dtype, "head1.w")
-        head_b1 = init_uniform(rng, (hidden,), cat, dtype, "head1.b")
-        head_w2 = init_uniform(rng, (N_ACTIONS, hidden), hidden, dtype, "head2.w")
-        head_b2 = init_uniform(rng, (N_ACTIONS,), hidden, dtype, "head2.b")
-        return cls(vocab, embedding, branches, head_w1, head_b1, head_w2, head_b2,
-                   d_emb, hidden)
+        params += [init_uniform(rng, (hidden, cat), cat, dtype, "head1.w"),
+                   init_uniform(rng, (hidden,), cat, dtype, "head1.b"),
+                   init_uniform(rng, (N_ACTIONS, hidden), hidden, dtype, "head2.w"),
+                   init_uniform(rng, (N_ACTIONS,), hidden, dtype, "head2.b")]
+        return cls(vocab, params)
 
     # -- parameter plumbing --------------------------------------------------
 
     def parameters(self) -> list[ParamTensor]:
-        out = [self.embedding]
-        for kind in BRANCHES:
-            out.extend(self.branches[kind].parameters())
-        out.extend([self.head_w1, self.head_b1, self.head_w2, self.head_b2])
-        return out
+        return list(self._params)
 
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(p.size for p in self._params)
 
     @property
     def _scratch(self) -> Workspace:
         return self._buffers.scratch
 
-    def clone(self) -> "QNetwork":
-        """A network with copies of this one's parameter arrays (writeable,
-        gradients zero) in this one's buffer family."""
-        def copy(p: ParamTensor) -> ParamTensor:
-            return ParamTensor.of(p.values.copy(), p.name)
-
-        branches = {kind: _Branch([LstmLayer(*map(copy, layer.parameters()))
-                                   for layer in branch.lstm],
-                                  copy(branch.w), copy(branch.b))
-                    for kind, branch in self.branches.items()}
-        other = QNetwork(self.vocab, copy(self.embedding), branches,
-                         copy(self.head_w1), copy(self.head_b1), copy(self.head_w2),
-                         copy(self.head_b2), self.d_emb, self.hidden)
+    def _copy(self, copy) -> "QNetwork":
+        """A network of ``copy(p)`` for each parameter, in this one's buffer family."""
+        other = QNetwork(self.vocab, [copy(p) for p in self._params])
         other._buffers = self._buffers
         return other
 
+    def clone(self) -> "QNetwork":
+        """Copies of this network's parameter arrays, writeable, with zero
+        gradients."""
+        return self._copy(lambda p: ParamTensor.of(p.values.copy(), p.name))
+
+    def snapshot(self) -> "QNetwork":
+        """Read-only copies of the parameter arrays, for forwards only: every
+        gradient is a read-only view of one shared zero."""
+        zero = np.zeros((), self.embedding.values.dtype)
+
+        def frozen(p: ParamTensor) -> ParamTensor:
+            values = p.values.copy()
+            values.flags.writeable = False
+            return ParamTensor(values, np.broadcast_to(zero, values.shape), p.name)
+        return self._copy(frozen)
+
     def copy_values_from(self, other: "QNetwork") -> None:
-        mine, theirs = self.parameters(), other.parameters()
-        if len(mine) != len(theirs):
-            raise ValueError("parameter structure mismatch")
-        for p, q in zip(mine, theirs):
-            if p.values.shape != q.values.shape:
-                raise ValueError(f"shape mismatch for {p.name}: {p.values.shape} vs {q.values.shape}")
+        """Overwrite every parameter with ``other``'s; a tensor whose shape
+        or dtype differs raises ValueError before any value changes."""
+        pairs = list(zip(self._params, other._params, strict=True))
+        for p, q in pairs:
+            if p.values.shape != q.values.shape or p.values.dtype != q.values.dtype:
+                raise ValueError(f"tensor {p.name} is {q.values.dtype.str} {q.values.shape}, "
+                                 f"expected {p.values.dtype.str} {p.values.shape}")
+        for p, q in pairs:
             p.values[...] = q.values
 
     # -- forward -------------------------------------------------------------
@@ -338,10 +336,6 @@ class QNetwork:
         ``memo`` as for :meth:`forward_batch`."""
         q, _ = self.forward_batch([encode_state(self.vocab, s) for s in states], memo=memo)
         return q
-
-    def forward_encoded(self, enc) -> np.ndarray:
-        q, _ = self.forward_batch([enc], need_cache=False)
-        return q[0]
 
     def forward_batch(self, enc_states, need_cache: bool = False,
                       memo: dict | None = None):
@@ -497,6 +491,9 @@ class QNetwork:
         dtype = np.dtype(header["dtype"])
         net = cls.create(vocab, seed=0, d_emb=dims[0], hidden=dims[1], n_layers=dims[2],
                          dtype=dtype)
+        extra = set(archive.files) - {_CKPT_HEADER} - {p.name for p in net.parameters()}
+        if extra:
+            raise CheckpointError(f"unexpected members {sorted(extra)}")
         for p in net.parameters():
             if p.name not in archive.files:
                 raise CheckpointError(f"missing tensor {p.name}")

@@ -295,13 +295,14 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
     explore_rng = derive_rng(seed, ROLE_EXPLORE)
     opt_steps = 0  # one per environment step, so it is also the epsilon schedule's position
     logs: list[EpochLog] = []
-    best: tuple[float, int, list[np.ndarray], float] | None = None
+    best: tuple[float, int, QNetwork, float] | None = None
 
     def select(state, enc):
         eps = epsilon_at(opt_steps, tc)
         if explore_rng.random() < eps:
             return int(explore_rng.integers(N_ACTIONS))
-        return greedy_action(online.forward_encoded(enc))
+        q, _ = online.forward_batch([enc])
+        return greedy_action(q[0])
 
     for epoch in range(tc.epochs):
         t0 = time.perf_counter()
@@ -319,8 +320,8 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
         _collect_episode(env_config, derive_seed(seed, ROLE_TRAIN, epoch),
                          variant, capacities, vocab, select, replay,
                          after_step=optimize)
-        val_mean, val_std = evaluate(GreedyQ(online), env_config,
-                                     tc.eval_iterations,
+        policy = GreedyQ(online)
+        val_mean, val_std = evaluate(policy, env_config, tc.eval_iterations,
                                      derive_seed(seed, ROLE_VALIDATION),
                                      capacities, variant=variant)
         logs.append(EpochLog(
@@ -332,13 +333,9 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
             wall_seconds=time.perf_counter() - t0,
         ))
         if best is None or val_mean > best[0]:
-            best = (val_mean, epoch, [p.values.copy() for p in online.parameters()],
-                    val_std)
+            best = (val_mean, epoch, policy.net, val_std)
 
-    best_val, best_epoch, best_values, best_std = best
-    best_net = online.clone()
-    for p, vals in zip(best_net.parameters(), best_values):
-        p.values[...] = vals
-    return TrainResult(net=best_net, best_epoch=best_epoch,
+    best_val, best_epoch, best_net, best_std = best
+    return TrainResult(net=best_net.clone(), best_epoch=best_epoch,
                        best_val_mean=best_val, best_val_std=best_std,
                        epochs=tuple(logs), total_opt_steps=opt_steps)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,28 @@ def test_greedy_q_decides_on_a_frozen_snapshot(tiny_env):
     for p in policy.net.parameters():
         with pytest.raises(ValueError):
             p.values[...] = 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_greedy_q_snapshot_holds_no_gradient_memory(tiny_env, dtype):
+    """The snapshot copies the parameter values and nothing else: every
+    gradient is a zero that refuses writes, backed by no per-parameter
+    array."""
+    vocab, _ = build_vocabulary(tiny_env)
+    net = QNetwork.create(vocab, seed=5, d_emb=32, hidden=64, dtype=dtype)
+    values_bytes = sum(p.values.nbytes for p in net.parameters())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        policy = GreedyQ(net)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * values_bytes, (held, values_bytes)
+    grads = [p.grad for p in policy.net.parameters()]
+    for p, want in zip(policy.net.parameters(), net.parameters(), strict=True):
+        assert p.name == want.name and np.array_equal(p.values, want.values)
+        assert p.grad.shape == p.values.shape and p.grad.dtype == dtype
+        assert not p.grad.any() and np.shares_memory(p.grad, grads[0])
+        with pytest.raises(ValueError):
+            p.grad += 1.0

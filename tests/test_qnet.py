@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from roommem.kb import generate_synthetic_kb
 from roommem.memory import (
     EPISODIC,
+    N_ACTIONS,
     RELATION,
     SEMANTIC,
     SHORT_TERM,
@@ -18,7 +19,7 @@ from roommem.memory import (
     Quadruple,
     format_head,
 )
-from roommem.nn import Adam, GradientError, ParamTensor, Workspace
+from roommem.nn import Adam, GradientError, LstmLayer, ParamTensor, Workspace, init_uniform
 from roommem.qnet import (
     BRANCHES,
     CheckpointError,
@@ -529,6 +530,57 @@ def test_clone_and_copy_values(vocab, net):
     assert np.allclose(other.forward(st), net.forward(st))
 
 
+def test_copy_values_from_rejects_a_dtype_mismatch(vocab):
+    """Cast to float32, 1e300 would become inf."""
+    wide = QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, dtype=np.float64)
+    narrow = QNetwork.create(vocab, seed=12, d_emb=4, hidden=6, dtype=np.float32)
+    wide.head_b2.values[0] = 1e300
+    before = [p.values.copy() for p in narrow.parameters()]
+    with pytest.raises(ValueError, match="embedding"):
+        narrow.copy_values_from(wide)
+    for p, vals in zip(narrow.parameters(), before):
+        assert np.array_equal(p.values, vals), p.name
+
+
+def _drawn_in_order(vocab, seed, d_emb, hidden, n_layers, dtype):
+    """The parameters as create draws them: embedding; per branch each
+    LSTM layer, then its projection; then the head."""
+    rng = np.random.default_rng(seed)
+    out = [init_uniform(rng, (vocab.n_tokens, d_emb), d_emb, dtype, "embedding")]
+    for kind in (SHORT_TERM, EPISODIC, SEMANTIC):
+        d_in = 3 * d_emb
+        for li in range(n_layers):
+            out += LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}").parameters()
+            d_in = hidden
+        out.append(init_uniform(rng, (hidden, hidden), hidden, dtype, f"{kind}.proj.w"))
+        out.append(init_uniform(rng, (hidden,), hidden, dtype, f"{kind}.proj.b"))
+    out.append(init_uniform(rng, (hidden, 3 * hidden), 3 * hidden, dtype, "head1.w"))
+    out.append(init_uniform(rng, (hidden,), 3 * hidden, dtype, "head1.b"))
+    out.append(init_uniform(rng, (N_ACTIONS, hidden), hidden, dtype, "head2.w"))
+    out.append(init_uniform(rng, (N_ACTIONS,), hidden, dtype, "head2.b"))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_create_draws_the_parameter_list_in_order(vocab, dtype, n_layers):
+    net = QNetwork.create(vocab, seed=4, d_emb=5, hidden=7, n_layers=n_layers, dtype=dtype)
+    params = net.parameters()
+    want = _drawn_in_order(vocab, 4, 5, 7, n_layers, dtype)
+    assert [p.name for p in params] == [p.name for p in want]
+    for p, q in zip(params, want):
+        assert p.values.dtype == dtype and np.array_equal(p.values, q.values), p.name
+    # the named attributes are views of the list's entries
+    views = [net.embedding]
+    for kind in (SHORT_TERM, EPISODIC, SEMANTIC):
+        branch = net.branches[kind]
+        assert len(branch.lstm) == n_layers
+        views += [p for layer in branch.lstm for p in layer.parameters()] + [branch.w, branch.b]
+    views += [net.head_w1, net.head_b1, net.head_w2, net.head_b2]
+    assert all(v is p for v, p in zip(views, params, strict=True))
+    assert (net.d_emb, net.hidden) == (5, 7)
+
+
 def test_save_load_round_trip(tmp_path, vocab, net):
     st = state_of(
         short=[epi("Ann", "bowl", "desk", 0)],
@@ -592,8 +644,9 @@ def _set_header(arrays, **changes):
     lambda a: a.update({"head1.w": a["head1.w"].astype(np.float32)}),
     lambda a: a["head1.w"].__setitem__((0, 0), np.inf),
     lambda a: a["head1.b"].__setitem__(1, np.nan),
+    lambda a: a.update({"rogue.w": np.zeros(3)}),
 ], ids=["version", "dtype", "shape", "vocab", "json", "missing", "tensor_shape", "object",
-        "tensor_dtype", "inf", "nan"])
+        "tensor_dtype", "inf", "nan", "extra"])
 def test_load_rejects_malformed_header_or_tensor(tmp_path, net, edit):
     path = tmp_path / "net.ckpt"
     net.save(path)
