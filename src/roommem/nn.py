@@ -7,19 +7,24 @@ float64 by default; float32 is available for speed and halves memory.
 
 LSTM convention: gate order (input, forget, cell, output), single bias per
 layer, hidden and cell state start at zero.  A batch of sequences is packed
-time-major, longest first, so each step runs only the samples still inside
-their sequence and a sample's last hidden state is read at its own last
-step; an empty sequence yields the zero vector without touching any weight.
+time-major, longest first (:class:`Packing`), so each step runs only the
+samples still inside their sequence and a sample's last hidden state is
+read at its own last step; an empty sequence yields the zero vector
+without touching any weight.  The batched kernel takes its input already
+packed, one row per live step.
 
 Buffers: :func:`lstm_batch_forward` and :func:`lstm_batch_backward` take
 their batch-sized arrays from a :class:`Workspace`, and the linear and ReLU
 helpers write to ``out`` arrays.  Called without them, as the
 single-sequence helpers and the tests do, each call makes fresh arrays.  A
 caller that passes a workspace owns every array handed out of it.  A
-forward's cache lasts until the next forward on the workspace, and the
-backward consumes it: it writes each step's gate gradients over the gate
-rows it has read, as in-place activated BatchNorm does (Rota Bulò et al.
-2018).  :class:`Adam` keeps its own.
+forward's cache is each layer's gate, cell and hidden rows plus the
+caller's input rows, which it does not copy; it lasts until the next
+forward on the workspace, and the backward consumes it.  Each array is
+overwritten once its last read is done, as in-place activated BatchNorm
+does (Rota Bulò et al. 2018): the gate rows take the gate gradients, a
+layer's cell rows its h_prev and then the gradient on its input, and the
+input rows the returned input gradient.  :class:`Adam` keeps its own.
 """
 from __future__ import annotations
 
@@ -297,37 +302,41 @@ class _LayerCache:
 
 def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
                        need_cache: bool = False, work: Workspace | None = None):
-    """Run stacked LSTM layers over a padded batch.
+    """Run stacked LSTM layers over a packed batch.
 
-    X: (T, B, d_in), T the longest of the sequence lengths in ``pack``.
-    Steps past a sample's length are never computed and their X rows never
-    read.  Returns (h_last (B, h), caches); an empty sample's h_last is
-    zero.  With no step to run the cache is empty.
+    X: (pack.rows, d_in) input rows in ``pack``'s row order, of the
+    layers' dtype; anything else raises ValueError before any work.
+    Returns (h_last (B, h), caches); an empty sample's h_last is zero.
+    With no step to run the cache is empty.
 
     All four gates share one ``tanh`` over the 4h block (see
     :func:`_gate_layout`); the cache keeps the gates in that layout.
+    Layer 0's cache holds X itself, which the backward overwrites.
 
-    The packed rows come from ``work`` (a fresh :class:`Workspace` when
-    None): layer i's under keys ``(name, i)``, cached or not, so a cache
-    stays valid until the next call on the same workspace.  ``need_cache``
-    only decides whether the caches are returned.  h_last views key
-    ``"h_last"``.
+    The other packed rows come from ``work`` (a fresh :class:`Workspace`
+    when None): layer i's gates, cell and hidden states under keys
+    ``(name, i)``, cached or not, so a cache stays valid until the next
+    call on the same workspace.  ``need_cache`` only decides whether the
+    caches are returned.  h_last views key ``"h_last"``.
     """
-    T, B, _ = X.shape
     dtype = layers[0].w_x.values.dtype
-    if pack.batch != B or pack.steps != T:
-        raise ValueError(f"packing describes a ({pack.steps}, {pack.batch}) batch, X is ({T}, {B})")
+    if X.dtype != dtype:
+        raise ValueError(f"input rows are {X.dtype}, the layers {dtype}")
+    if X.ndim != 2 or X.shape[1] != layers[0].d_in:
+        raise ValueError(f"input rows are {X.shape[-1]} wide, the first layer takes "
+                         f"{layers[0].d_in}")
+    if X.shape[0] != pack.rows:
+        raise ValueError(f"packing describes {pack.rows} rows, X has {X.shape[0]}")
     if work is None:
         work = Workspace()
-    h_last = work.take("h_last", (B, layers[-1].hidden), dtype)
+    h_last = work.take("h_last", (pack.batch, layers[-1].hidden), dtype)
     if not pack.bs:
         h_last.fill(0.0)
         return h_last, []
     caches: list[_LayerCache] = []
     half = dtype.type(0.5)   # a typed scalar skips a conversion per call
     N = pack.rows
-    inp = work.take(("inp", 0), (N, X.shape[2]), X.dtype)
-    np.take(X.reshape(T * B, -1), pack.pos, axis=0, out=inp, mode="clip")
+    inp = X
     for li, layer in enumerate(layers):
         h = layer.hidden
         order, scale = _gate_layout(h, dtype)
@@ -337,7 +346,7 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
         gates += _fused(layer.b.values, order, scale[:, 0])
         c = work.take(("c", li), (N, h), dtype)
         out = work.take(("out", li), (N, h), dtype)
-        if T > 1:
+        if pack.steps > 1:
             rec = work.take("rec", (pack.bs[1], 4 * h), dtype)
         for t, b in enumerate(pack.bs):
             r = slice(pack.off[t], pack.off[t] + b)
@@ -369,21 +378,19 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
                         work: Workspace | None = None) -> np.ndarray:
     """Backprop through :func:`lstm_batch_forward`, given the same
     ``pack``; accumulates parameter gradients and returns the gradient on
-    the padded input X, zero at steps past each sample's length.
+    the packed input rows X, written over X itself.
 
-    Consumes ``caches``, writing each step's pre-activation gradient over
-    its gate rows once read.  Other arrays come from ``work`` (a fresh
-    :class:`Workspace` when None), under keys that no forward takes; the
-    returned dX views key ``"padded"``, which a caller may also use for
-    the forward's X.
+    Consumes ``caches``: each step's pre-activation gradient goes over its
+    gate rows once read, and once a layer's time loop has read its cell
+    states, their rows hold the layer's h_prev and then the gradient on
+    its input.  The per-step arrays come from ``work`` (a fresh
+    :class:`Workspace` when None), under keys that no forward takes.
     """
     dtype = layers[0].w_x.values.dtype
+    if not pack.bs:
+        return np.zeros((0, layers[0].d_in), dtype=dtype)
     if work is None:
         work = Workspace()
-    dX = work.take("padded", (pack.steps, pack.batch, layers[0].d_in), dtype)
-    dX.fill(0.0)
-    if not pack.bs:
-        return dX
     B0 = pack.bs[0]
     order_b = pack.pos[:B0]   # samples, longest first
     N = pack.rows
@@ -445,20 +452,21 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             if t:
                 np.matmul(dz, w_h, out=dht)
         DZ = gates   # every row now holds its step's pre-activation gradient
-        h_prev = work.take("h_prev", (N - B0, h), dtype)
-        np.take(cache.out, prev, axis=0, out=h_prev, mode="clip")
+        h_prev = np.take(cache.out, prev, axis=0, out=c[:N - B0], mode="clip")
         layer.w_x.grad[order] += DZ.T @ cache.inp
         layer.w_h.grad[order] += DZ[later].T @ h_prev
         layer.b.grad[order] += DZ.sum(axis=0)
-        # the layer above's d_above is dead here, so both share one key
-        d_above = np.matmul(DZ, layer.w_x.values[order],
-                            out=work.take("d_above", (N, layer.d_in), dtype))
-    dX.reshape(-1, dX.shape[2])[pack.pos] = d_above
-    return dX
+        # layer 0's input rows are read for the last time just above; an
+        # upper layer's input gradient fits its own cell rows when it is
+        # as wide, as in every stack roommem builds
+        into = cache.inp if li == 0 else c if c.shape[1] == layer.d_in else None
+        d_above = np.matmul(DZ, layer.w_x.values[order], out=into)
+    return d_above
 
 
 def _as_seq_array(seq, d_in: int, dtype) -> np.ndarray:
-    arr = np.asarray(seq, dtype=dtype)
+    """A new (T, d_in) array of ``seq``, which the backward may overwrite."""
+    arr = np.array(seq, dtype=dtype)
     if arr.size == 0:
         return np.zeros((0, d_in), dtype=dtype)
     if arr.ndim != 2 or arr.shape[1] != d_in:
@@ -473,8 +481,8 @@ def lstm_forward_cached(seq, layers: list[LstmLayer], need_cache: bool = True):
     arr = _as_seq_array(seq, layers[0].d_in, dtype)
     if arr.shape[0] == 0:
         return np.zeros(layers[-1].hidden, dtype=dtype), None
-    pack = Packing([arr.shape[0]])
-    h, caches = lstm_batch_forward(arr[:, None, :], pack, layers, need_cache=need_cache)
+    pack = Packing([arr.shape[0]])   # one sequence: its steps are its packed rows
+    h, caches = lstm_batch_forward(arr, pack, layers, need_cache=need_cache)
     return h[0], (caches, pack)
 
 
@@ -483,8 +491,7 @@ def lstm_backward_single(cache, layers: list[LstmLayer], dh: np.ndarray) -> np.n
     if cache is None:  # empty sequence: constant zero output, no gradients
         return np.zeros((0, layers[0].d_in), dtype=layers[0].w_x.values.dtype)
     caches, pack = cache
-    dX = lstm_batch_backward(caches, layers, pack, dh[None, :])
-    return dX[:, 0, :]
+    return lstm_batch_backward(caches, layers, pack, dh[None, :])
 
 
 # -- adam --------------------------------------------------------------------

@@ -14,12 +14,15 @@ Q-value per management action.
 Buffers: a :class:`QNetwork` and its copies (the trainer's target network,
 ``GreedyQ``'s snapshot, ``train``'s best net) form one family that
 owns the batch-sized arrays of their passes and reuses them from batch to
-batch: a workspace per branch and one for the head, which every forward
-runs in, and a scratch for the padded embeddings and the backward.  A
-cache from ``forward_batch(..., need_cache=True)`` serves one
-:meth:`QNetwork.backward_batch` on its network, which writes gradients
-over it, until the next forward on the family overwrites it; any other
-cache is refused.  Only the returned Q-values are new arrays.  Calls on
+batch: a workspace per branch, holding its packed token codes and LSTM
+rows, and one for the head, which every forward runs in; and a scratch
+holding the one array of embedded rows that every branch's forward fills
+in turn, and the backward's per-step arrays.  A cache from
+``forward_batch(..., need_cache=True)`` serves one
+:meth:`QNetwork.backward_batch` on its network, which embeds each
+branch's rows again from its codes just before that branch's LSTM
+backward and writes gradients over the cache, until the next forward on
+the family overwrites it; any other cache is refused.  Only the returned Q-values are new arrays.  Calls on
 one family must not run at the same time, which nothing in roommem does.
 """
 from __future__ import annotations
@@ -173,58 +176,61 @@ def encode_state(vocab: Vocabulary, state) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _pad_codes(codes: list[np.ndarray], pad: int,
-               work: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sample (n, 3) token codes into one (T, B, 3) tensor, a
-    view of ``work``'s ``"codes"`` key.
-
-    Steps past a sample's length, and the -1 owner slot of semantic rows,
-    point at ``pad``, the embedding table's extra zero row.  Returns
-    (codes, lengths)."""
-    B = len(codes)
-    lengths = [c.shape[0] for c in codes]
-    T = max(lengths, default=0)
-    out = work.take("codes", (T, B, 3), np.int64)
-    out.fill(pad)
-    if T:
-        rows = np.concatenate(codes)
-        start = np.repeat(list(accumulate(lengths, initial=0))[:-1], lengths)
-        sample = np.repeat(np.arange(B), lengths)
-        out[np.arange(rows.shape[0]) - start, sample] = np.where(rows < 0, pad, rows)
-    return out, lengths
+def _pack_codes(seqs: list[np.ndarray], pad: int,
+                work: Workspace) -> tuple[np.ndarray, Packing]:
+    """Per-sample (n, 3) token codes as packed (N, 3) rows, a view of
+    ``work``'s ``"codes"`` key, and their :class:`Packing`.  The -1 owner
+    slot of semantic rows points at ``pad``, the embedding table's extra
+    zero row."""
+    lengths = [s.shape[0] for s in seqs]
+    pack = Packing(lengths)
+    out = work.take("codes", (pack.rows, 3), np.int64)
+    if pack.rows:
+        step, sample = np.divmod(pack.pos, pack.batch)
+        start = np.array(list(accumulate(lengths, initial=0))[:-1])
+        np.take(np.concatenate(seqs, dtype=np.int64), start[sample] + step, axis=0, out=out)
+        out[out < 0] = pad
+    return out, pack
 
 
-def _embed(table: np.ndarray, codes: np.ndarray, work: Workspace) -> np.ndarray:
-    """(T, B, 3) codes -> (T, B, 3*d) rows laid out head | relation | tail,
-    a view of ``work``'s ``"padded"`` key, which the backward's dX reuses
-    once the forward has packed X.
-    The head embeds as the sum of its two tokens; the relation third is
-    zero."""
-    X = work.take("padded", codes.shape + table.shape[1:], table.dtype)
+def _embed(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(N, 3) codes -> (N, 3*d) rows laid out head | relation | tail, in
+    ``out``.  The head embeds as the sum of its two tokens; the relation
+    third is zero."""
+    X = out.reshape(codes.shape + table.shape[1:])
     np.take(table, codes, axis=0, out=X, mode="clip")
-    X[..., 0, :] += X[..., 1, :]
-    X[..., 1, :] = 0.0
-    return X.reshape(codes.shape[:2] + (3 * table.shape[1],))
+    X[:, 0] += X[:, 1]
+    X[:, 1] = 0.0
+    return out
 
 
-def _embedding_grad(codes: np.ndarray, dX: np.ndarray, n_rows: int) -> np.ndarray:
-    """Gradient of :func:`_embed` on its (n_rows, d) table: both head
-    tokens take the head's gradient, the tail token the tail's.  One
-    float64 ``bincount`` per column sums each entry's rows in the order of
-    ``codes``, as one ``bincount`` over all columns would, without a (T, B,
-    3, d) index.  Overwrites dX."""
+def _embedding_grad(codes: np.ndarray, pack: Packing, dX: np.ndarray,
+                    n_rows: int) -> np.ndarray:
+    """Gradient of :func:`_embed` on its (n_rows, d) table, given the
+    packed rows' gradient dX: both head tokens take the head's gradient,
+    the tail token the tail's.  Rows are read in padded (t, b) order, so
+    one float64 ``bincount`` per column sums each entry's rows in the
+    order of a padded batch's (t, b, slot) codes, as one ``bincount`` over
+    all columns would, without a (N, 3, d) index.  Overwrites dX."""
     dX = dX.reshape(codes.shape + (-1,))
-    dX[..., 1, :] = dX[..., 0, :]
-    index = codes.ravel()
+    dX[:, 1] = dX[:, 0]
+    rows = np.argsort(pack.pos)
+    index = codes[rows].ravel()
     grad = np.empty((n_rows, dX.shape[-1]))
     for j in range(dX.shape[-1]):
-        grad[:, j] = np.bincount(index, weights=dX[..., j].ravel(), minlength=n_rows)
+        grad[:, j] = np.bincount(index, weights=dX[rows, :, j].ravel(), minlength=n_rows)
     return grad
 
 
 @dataclass
 class _Buffers:
-    """A network family's workspaces, and (network, cache) of its one intact cache."""
+    """A network family's workspaces, and (network, cache) of its one intact
+    cache.  Per branch: ``"codes"``, the LSTM's ``("gates", i)``, ``("c",
+    i)`` and ``("out", i)`` rows, ``"rec"``, ``"h_last"`` and
+    ``"relu_mask"``; the head: ``"cat"``, ``"a1"``, ``"relu_mask"``; the
+    scratch: ``"rows"``, the embedded input rows of the branch that ran
+    last, and arrays of B rows for the forward's ``"z"`` and the
+    backward."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
@@ -382,7 +388,7 @@ class QNetwork:
         q, x2 = linear_forward(a1, self.head_w2, self.head_b2)
         cache = None
         if need_cache:
-            cache = (branch_caches, x1, m1, x2)
+            cache = (table, branch_caches, x1, m1, x2)
             buffers.live = (self, cache)
         return q, cache
 
@@ -392,14 +398,13 @@ class QNetwork:
         returns the branch's cache, None when ``need_cache`` is false."""
         scratch = self._scratch
         work = self._buffers.work[kind]
-        V = table.shape[0] - 1
         n, h = len(seqs), self.hidden
-        codes, lengths = _pad_codes(seqs, V, work)
-        pack = Packing(lengths)
+        codes, pack = _pack_codes(seqs, table.shape[0] - 1, work)
+        rows = _embed(table, codes, scratch.take("rows", (pack.rows, 3 * self.d_emb),
+                                                 table.dtype))
         branch = self.branches[kind]
-        h_last, lstm_caches = lstm_batch_forward(_embed(table, codes, scratch), pack,
-                                                 branch.lstm, need_cache=need_cache,
-                                                 work=work)
+        h_last, lstm_caches = lstm_batch_forward(rows, pack, branch.lstm,
+                                                 need_cache=need_cache, work=work)
         z, lin_x = linear_forward(h_last, branch.w, branch.b,
                                   out=scratch.take("z", (n, h), table.dtype))
         _, relu_m = relu_forward(z, out=out, mask=work.take("relu_mask", (n, h), bool))
@@ -413,7 +418,7 @@ class QNetwork:
         if owner is not self or live is not cache:
             raise ValueError("stale cache: a later forward or a backward reused its buffers")
         self._buffers.live = _STALE   # the LSTM backward writes its gradients over the cache
-        branch_caches, x1, m1, x2 = cache
+        table, branch_caches, x1, m1, x2 = cache
         scratch = self._scratch
         B, h = dq.shape[0], self.hidden
         dtype = self.embedding.values.dtype
@@ -432,9 +437,11 @@ class QNetwork:
                                       out=scratch.take("dh_last", (B, h), dtype))
             if not lstm_caches:  # all-empty branch contributed constant zeros
                 continue
+            # the shared rows now hold a later branch's; embed this one's again
+            _embed(table, codes, lstm_caches[0].inp)
             dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last,
                                      work=scratch)
-            self.embedding.grad += _embedding_grad(codes, dX, V + 1)[:V]
+            self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1)[:V]
 
     # -- persistence ---------------------------------------------------------
 

@@ -39,8 +39,8 @@ def lstm_batch_sizes(monkeypatch):
     sizes = []
     inner = qnet.lstm_batch_forward
 
-    def counted(X, *args, **kwargs):
-        sizes.append(X.shape[1])
-        return inner(X, *args, **kwargs)
+    def counted(X, pack, *args, **kwargs):
+        sizes.append(pack.batch)
+        return inner(X, pack, *args, **kwargs)
     monkeypatch.setattr(qnet, "lstm_batch_forward", counted)
     return sizes

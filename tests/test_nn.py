@@ -7,6 +7,7 @@ from roommem.nn import (
     LstmLayer,
     Packing,
     ParamTensor,
+    Workspace,
     embedding_backward,
     embedding_lookup,
     huber_loss,
@@ -166,6 +167,20 @@ def test_lstm_empty_sequence_is_zero_vector():
     assert all(np.all(p.grad == 0.0) for layer in layers for p in layer.parameters())
 
 
+def _packed(X, pack):
+    """The live rows of a padded (T, B, d) batch, in ``pack``'s row order,
+    as a new array."""
+    return X.reshape(-1, X.shape[2])[pack.pos]
+
+
+def _padded(rows, pack, like):
+    """Packed rows back at their padded positions of an array shaped as
+    ``like``, zero at every other position."""
+    out = np.zeros_like(like)
+    out.reshape(-1, out.shape[2])[pack.pos] = rows
+    return out
+
+
 def test_lstm_batch_agrees_with_single():
     """The padded batched forward must give the same last hidden state as
     running each sequence alone."""
@@ -177,7 +192,8 @@ def test_lstm_batch_agrees_with_single():
     X = np.zeros((T, B, 3))
     for j, s in enumerate(seqs):
         X[: s.shape[0], j] = s
-    H, _ = lstm_batch_forward(X, Packing([s.shape[0] for s in seqs]), layers)
+    pack = Packing([s.shape[0] for s in seqs])
+    H, _ = lstm_batch_forward(_packed(X, pack), pack, layers)
     for j, s in enumerate(seqs):
         h, _ = lstm_forward_cached(s, layers, need_cache=False)
         assert np.allclose(H[j], h, atol=1e-12)
@@ -198,14 +214,14 @@ def test_lstm_gradient_fd():
         pack = Packing(lengths)
         dh = rng.normal(size=(B, hidden))
 
-        H, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
-        dX = lstm_batch_backward(caches, layers, pack, dh)
+        H, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True)
+        dX = _padded(lstm_batch_backward(caches, layers, pack, dh), pack, X)
         params = [p for layer in layers for p in layer.parameters()]
 
         def loss_with(tensor, values):
             saved = tensor.values.copy()
             tensor.values[...] = values
-            out, _ = lstm_batch_forward(X, pack, layers)
+            out, _ = lstm_batch_forward(_packed(X, pack), pack, layers)
             tensor.values[...] = saved
             return float((out * dh).sum())
 
@@ -214,7 +230,7 @@ def test_lstm_gradient_fd():
             assert max_relative_error(p.grad, fd) < TOL, (trial, p.name)
 
         def loss_x(Xv):
-            out, _ = lstm_batch_forward(Xv, pack, layers)
+            out, _ = lstm_batch_forward(_packed(Xv, pack), pack, layers)
             return float((out * dh).sum())
 
         fd_x = fd_gradient(loss_x, X.copy())
@@ -235,9 +251,9 @@ def test_lstm_single_backward_matches_batch():
             p.grad[...] = 0.0
     X = seq[:, None, :]
     pack = Packing([5])
-    H, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
+    H, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True)
     assert np.allclose(H[0], h)
-    dX_b = lstm_batch_backward(caches, layers, pack, dh[None, :])
+    dX_b = _padded(lstm_batch_backward(caches, layers, pack, dh[None, :]), pack, X)
     grads_batch = [p.grad.copy() for layer in layers for p in layer.parameters()]
     for a, b in zip(grads_single, grads_batch):
         assert np.allclose(a, b, atol=1e-12)
@@ -263,10 +279,22 @@ def _random_batch(rng, dtype, d_in, B, T):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_packed_kernel_matches_masked_reference(dtype):
+    _check_kernel_against_masked_reference(dtype, (5, 6, 6))
+
+
+def test_packed_kernel_with_a_narrower_upper_layer_matches_masked_reference():
+    """An upper layer narrower than its input has no cell rows wide enough
+    to hold its input gradient, which then gets an array of its own."""
+    _check_kernel_against_masked_reference(np.float64, (5, 6, 3))
+
+
+def _check_kernel_against_masked_reference(dtype, widths):
+    """A stack of layers ``widths[i] -> widths[i + 1]`` against the masked
+    reference on a batch with empty, full and garbage-padded samples."""
     rng = np.random.default_rng(12)
-    d_in, hidden, B, T = 5, 6, 11, 7
-    layers = [LstmLayer.create(rng, d_in, hidden, dtype, "l0"),
-              LstmLayer.create(rng, hidden, hidden, dtype, "l1")]
+    d_in, hidden, B, T = widths[0], widths[-1], 11, 7
+    layers = [LstmLayer.create(rng, a, b, dtype, f"l{i}")
+              for i, (a, b) in enumerate(zip(widths, widths[1:]))]
     lengths, X, mask = _random_batch(rng, dtype, d_in, B, T)
     dh = rng.normal(size=(B, hidden)).astype(dtype)
     params = [p for layer in layers for p in layer.parameters()]
@@ -277,10 +305,10 @@ def test_packed_kernel_matches_masked_reference(dtype):
     for p in params:
         p.grad[...] = 0.0
 
-    # padding must never be read, so the kernel gets it unmasked
+    # the kernel gets the live rows of the unmasked batch
     pack = Packing(lengths)
-    h, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
-    dX = lstm_batch_backward(caches, layers, pack, dh)
+    h, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True)
+    dX = _padded(lstm_batch_backward(caches, layers, pack, dh), pack, X)
     tol = KERNEL_TOL[dtype]
     assert h.dtype == dtype and dX.dtype == dtype
     np.testing.assert_allclose(h, h_ref, **tol)
@@ -296,7 +324,38 @@ def test_packing_rejects_bad_lengths():
         Packing([2, -1])
     layers = make_lstm_stack(np.random.default_rng(0), 3, 4, 1)
     with pytest.raises(ValueError):
-        lstm_batch_forward(np.zeros((4, 2, 3)), Packing([1, 2]), layers)
+        lstm_batch_forward(np.zeros((4, 3)), Packing([1, 2]), layers)
+
+
+def test_lstm_batch_forward_rejects_rows_of_another_dtype_or_width():
+    """The backward writes the input gradient over the input rows, so rows
+    that the layers' dtype or width does not fit are refused before any
+    work, with both dtypes or both widths named."""
+    rng = np.random.default_rng(15)
+    layers = [LstmLayer.create(rng, 3, 4, np.float32, "l0")]
+    pack = Packing([3, 2])
+    for X, match in ((rng.normal(size=(5, 3)), "float64.*float32"),
+                     (rng.normal(size=(5, 4)).astype(np.float32), "4 wide.*takes 3")):
+        before = X.copy()
+        work = Workspace()
+        with pytest.raises(ValueError, match=match):
+            lstm_batch_forward(X, pack, layers, need_cache=True, work=work)
+        assert not work._flat
+        assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_single_sequence_helpers_leave_the_sequence_alone(dtype):
+    """The batched backward writes its input gradient over the input rows;
+    the single-sequence helpers give it a copy of the caller's sequence."""
+    rng = np.random.default_rng(16)
+    layers = [LstmLayer.create(rng, 3, 4, dtype, "l0"), LstmLayer.create(rng, 4, 4, dtype, "l1")]
+    seq = rng.normal(size=(5, 3)).astype(dtype)
+    before = seq.copy()
+    _, cache = lstm_forward_cached(seq, layers)
+    dX = lstm_backward_single(cache, layers, np.ones(4, dtype))
+    assert np.array_equal(seq, before)
+    assert not np.shares_memory(dX, seq)
 
 
 def test_layer_cache_is_smaller_than_the_masked_layout():
@@ -309,7 +368,8 @@ def test_layer_cache_is_smaller_than_the_masked_layout():
     layers = make_lstm_stack(rng, d_in, hidden, 2)
     X = rng.normal(size=(T, B, d_in))
     for lengths in (np.full(B, T), np.array([6, 1, 0, 3, 2])):
-        _, caches = lstm_batch_forward(X, Packing(lengths), layers, need_cache=True)
+        pack = Packing(lengths)
+        _, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True)
         masked = 8 * T * B * hidden * X.itemsize
         for cache in caches:
             assert cache.gates.nbytes + cache.c.nbytes + cache.out.nbytes < masked

@@ -20,6 +20,7 @@ from roommem.memory import (
     format_head,
 )
 from roommem.nn import Adam, GradientError, LstmLayer, ParamTensor, Workspace, init_uniform
+import roommem.qnet as qnet
 from roommem.qnet import (
     BRANCHES,
     CheckpointError,
@@ -30,7 +31,7 @@ from roommem.qnet import (
     encode_system,
     greedy_action,
 )
-from roommem.qnet import _embed, _entry_tokens, _pad_codes
+from roommem.qnet import _embed, _entry_tokens, _pack_codes
 from roommem.trainer import Transition, td_loss
 
 from .oracles import fd_gradient, max_relative_error
@@ -161,13 +162,12 @@ def test_encode_system_matches_the_per_entry_path(case):
 
 
 def embed_rows(vocab, net, kind, entries):
-    """One system's entries through the batched gather, as a (n, 3*d) batch
-    of one sample."""
+    """One system's entries through the batched gather, as the (n, 3*d)
+    packed rows of a batch of one sample."""
     emb = net.embedding.values
     table = np.vstack([emb, np.zeros((1, emb.shape[1]))])
-    work = Workspace()
-    codes, _ = _pad_codes([encode_system(vocab, kind, entries)], emb.shape[0], work)
-    return _embed(table, codes, work)[:, 0, :]
+    codes, pack = _pack_codes([encode_system(vocab, kind, entries)], emb.shape[0], Workspace())
+    return _embed(table, codes, np.empty((pack.rows, 3 * emb.shape[1])))
 
 
 def test_kge_rows_zero_relation_slot(vocab, net):
@@ -461,6 +461,84 @@ def test_a_td_step_holds_the_online_rows_and_per_step_gate_gradients():
     buffers = online._buffers
     gates = max(buffers.work[kind]._flat[("gates", 0)].nbytes for kind in BRANCHES)
     assert max(a.nbytes for a in buffers.scratch._flat.values()) < gates
+
+
+def test_a_td_step_keeps_only_its_lstm_cache():
+    """After a td_loss at a small fp64 shape (B=64, up to 8 entries per
+    long-term system), every workspace array of more than B*4h elements
+    is an LSTM cache array, the one rows array that every branch embeds
+    into, or a branch's packed codes: no padded embeddings, no packed copy
+    of them, and no backward array of one row per step."""
+    online = _desk_like_net(np.float64)
+    target = online.clone()
+    B = 64
+    td_loss(_desk_like_batch(online.vocab, np.random.default_rng(6), B, longest=8),
+            online, target, 0.65)
+    buffers = online._buffers
+    big = [(kind, key) for kind, work in (*buffers.work.items(), ("scratch", buffers.scratch))
+           for key, a in work._flat.items() if a.size > B * 4 * online.hidden]
+    lstm = [(kind, key) for kind, key in big
+            if kind in BRANCHES and isinstance(key, tuple) and key[0] in ("gates", "c", "out")]
+    assert lstm
+    rest = [k for k in big if k not in lstm]
+    assert set(rest) <= {("scratch", "rows")} | {(kind, "codes") for kind in BRANCHES}, rest
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_gradient_sums_in_padded_order(vocab, monkeypatch, dtype):
+    """backward_batch's embedding gradient is, bit for bit, one float64
+    bincount per branch over a padded batch's (t, b, slot) codes and its
+    input gradient at those positions, the relation slot taking the head's
+    gradient: the sum order of the padded layout, which training results
+    depend on.  Empty samples and semantic rows (owner slot -1) included."""
+    net = QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, n_layers=2, dtype=dtype)
+    rng = np.random.default_rng(21)
+
+    def pick(names):
+        return names[int(rng.integers(len(names)))]
+
+    def entries(make, n):
+        return [make(t) for t in range(n)]
+
+    states = [state_of(
+        short=entries(lambda t: epi(pick(HUMANS), pick(OBJECTS), pick(LOCATIONS), t),
+                      int(rng.integers(0, 3))),
+        episodic=entries(lambda t: epi(pick(HUMANS), pick(OBJECTS), pick(LOCATIONS), t),
+                         int(rng.integers(0, 6))),
+        semantic=entries(lambda t: sem(pick(OBJECTS), pick(LOCATIONS), t),
+                         int(rng.integers(0, 6))))
+        for _ in range(24)]
+    enc = [encode_state(vocab, s) for s in states]
+    seen = []
+    inner = qnet.lstm_batch_backward
+
+    def recorded(caches, layers, pack, dh_last, work=None):
+        dX = inner(caches, layers, pack, dh_last, work=work)
+        seen.append((pack, dX.copy()))
+        return dX
+    monkeypatch.setattr(qnet, "lstm_batch_backward", recorded)
+    Q, cache = net.forward_batch(enc, need_cache=True)
+    net.backward_batch(cache, rng.normal(size=Q.shape))
+
+    V, d = net.embedding.values.shape
+    want = np.zeros((V, d), dtype)
+    assert len(seen) == len(BRANCHES)
+    for bi, (pack, dX) in enumerate(seen):
+        T, B = pack.steps, pack.batch
+        lengths = [e[bi].shape[0] for e in enc]
+        assert 0 in lengths
+        codes = np.full((T, B, 3), V)
+        dX_pad = np.zeros((T * B, 3 * d))
+        dX_pad[pack.pos] = dX
+        dX_pad = dX_pad.reshape(T, B, 3, d)
+        dX_pad[:, :, 1] = dX_pad[:, :, 0]
+        for b, e in enumerate(enc):
+            codes[:e[bi].shape[0], b] = np.where(e[bi] < 0, V, e[bi])
+        index = codes[..., None] * d + np.arange(d)
+        grad = np.bincount(index.ravel(), weights=dX_pad.ravel(), minlength=(V + 1) * d)
+        want += grad.reshape(V + 1, d)[:V]
+    assert any(np.any(e[2][:, 1] == -1) for e in enc)
+    assert np.array_equal(net.embedding.grad, want)
 
 
 def test_full_network_gradient_fd(vocab, net):
