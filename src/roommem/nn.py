@@ -18,12 +18,15 @@ their batch-sized arrays from a :class:`Workspace`, and the linear and ReLU
 helpers write to ``out`` arrays.  Called without them, as the
 single-sequence helpers and the tests do, each call makes fresh arrays.  A
 caller that passes a workspace owns every array handed out of it.  A
-forward's cache is each layer's gate, cell and hidden rows plus the
-caller's input rows, which it does not copy; it lasts until the next
-forward on the workspace, and the backward consumes it.  Each array is
-overwritten once its last read is done, as in-place activated BatchNorm
-does (Rota Bulò et al. 2018): the gate rows take the gate gradients, a
-layer's cell rows its h_prev and then the gradient on its input, and the
+forward's cache is each layer's gate rows plus the caller's input rows,
+which it does not copy; it lasts until the next forward on the
+workspace, and the backward consumes it.  The backward rebuilds each
+layer's cell and hidden rows from the gates with the forward's own
+operations, so they have the forward's bits: the memory-efficient
+backpropagation through time of Gruslys et al. 2016 and Chen et al.
+2016.  Each array is overwritten once its last read is done, as in-place
+activated BatchNorm does (Rota Bulò et al. 2018): the gate rows take the
+gate gradients, a layer's rebuilt cell rows its hidden rows, and the
 input rows the returned input gradient.  :class:`Adam` keeps its own.
 """
 from __future__ import annotations
@@ -291,17 +294,16 @@ def _fused(values: np.ndarray, order: np.ndarray, scale: np.ndarray) -> np.ndarr
 
 
 class _LayerCache:
-    __slots__ = ("inp", "gates", "c", "out")
+    __slots__ = ("inp", "gates")
 
-    def __init__(self, inp, gates, c, out):
-        self.inp = inp        # (N, d_in) packed input rows
+    def __init__(self, inp, gates):
+        self.inp = inp        # (N, d_in) packed input rows of layer 0; None above it
         self.gates = gates    # (N, 4h) activations, gate order (i, f, o, g)
-        self.c = c            # (N, h) cell state after each step
-        self.out = out        # (N, h) hidden state after each step
 
 
 def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
-                       need_cache: bool = False, work: Workspace | None = None):
+                       need_cache: bool = False, work: Workspace | None = None,
+                       shared: Workspace | None = None):
     """Run stacked LSTM layers over a packed batch.
 
     X: (pack.rows, d_in) input rows in ``pack``'s row order, of the
@@ -310,14 +312,21 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     With no step to run the cache is empty.
 
     All four gates share one ``tanh`` over the 4h block (see
-    :func:`_gate_layout`); the cache keeps the gates in that layout.
-    Layer 0's cache holds X itself, which the backward overwrites.
+    :func:`_gate_layout`); the cache keeps the gates in that layout and
+    nothing else but X, which is layer 0's input and which the backward
+    overwrites.  The backward rebuilds the cell and hidden rows from the
+    gates.
 
-    The other packed rows come from ``work`` (a fresh :class:`Workspace`
-    when None): layer i's gates, cell and hidden states under keys
-    ``(name, i)``, cached or not, so a cache stays valid until the next
-    call on the same workspace.  ``need_cache`` only decides whether the
-    caches are returned.  h_last views key ``"h_last"``.
+    Layer i's gate rows come from ``work`` (a fresh :class:`Workspace`
+    when None) under key ``("gates", i)``, cached or not, so a cache stays
+    valid until the next call on the same workspace; ``need_cache`` only
+    decides whether the caches are returned.  h_last views ``work``'s key
+    ``"h_last"``.  The rows no cache keeps come from the buffer
+    ``shared`` (``work`` when None), which the backward may take as its
+    own: the hidden rows ``"h_rows"``, which every layer writes over the
+    rows of the layer below once its projection has read them, a rolling
+    (2, B, h) cell state ``"c_roll"`` and the recurrent projection
+    ``"rec"``.
     """
     dtype = layers[0].w_x.values.dtype
     if X.dtype != dtype:
@@ -329,6 +338,8 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
         raise ValueError(f"packing describes {pack.rows} rows, X has {X.shape[0]}")
     if work is None:
         work = Workspace()
+    if shared is None:
+        shared = work
     h_last = work.take("h_last", (pack.batch, layers[-1].hidden), dtype)
     if not pack.bs:
         h_last.fill(0.0)
@@ -344,10 +355,10 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
         gates = work.take(("gates", li), (N, 4 * h), dtype)
         np.matmul(inp, _fused(layer.w_x.values, order, scale).T, out=gates)
         gates += _fused(layer.b.values, order, scale[:, 0])
-        c = work.take(("c", li), (N, h), dtype)
-        out = work.take(("out", li), (N, h), dtype)
+        out = shared.take("h_rows", (N, h), dtype)
+        c = shared.take("c_roll", (2, pack.bs[0], h), dtype)
         if pack.steps > 1:
-            rec = work.take("rec", (pack.bs[1], 4 * h), dtype)
+            rec = shared.take("rec", (pack.bs[1], 4 * h), dtype)
         for t, b in enumerate(pack.bs):
             r = slice(pack.off[t], pack.off[t] + b)
             z = gates[r]
@@ -359,18 +370,31 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
             sig = z[:, :3 * h]
             sig *= half
             sig += half
-            ct = c[r]
+            ct = c[t % 2, :b]
             np.multiply(z[:, :h], z[:, 3 * h:], out=ct)
             if t:
-                ct += np.multiply(z[:, h:2 * h], c[p], out=ot)
+                ct += np.multiply(z[:, h:2 * h], c[1 - t % 2, :b], out=ot)
             np.tanh(ct, out=ot)
             ot *= z[:, 2 * h:3 * h]
         if need_cache:
-            caches.append(_LayerCache(inp, gates, c, out))
+            caches.append(_LayerCache(X if li == 0 else None, gates))
         inp = out
     np.take(inp, pack.last, axis=0, out=h_last, mode="clip")
     h_last[pack.last < 0] = 0.0   # an empty sample, whose clipped -1 read row 0
     return h_last, caches
+
+
+def _cell_rows(gates: np.ndarray, pack: Packing, c: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """A layer's (N, h) cell rows into ``c``, rebuilt from its (N, 4h) gate
+    activations with the forward's own operations in the forward's order,
+    so every row has the forward's bits; ``tmp`` holds B rows of f * c_prev."""
+    h = c.shape[1]
+    np.multiply(gates[:, :h], gates[:, 3 * h:], out=c)   # i * g of every step at once
+    for t, b in enumerate(pack.bs[1:], start=1):
+        r = slice(pack.off[t], pack.off[t] + b)
+        p = pack.off[t - 1]
+        c[r] += np.multiply(gates[r, h:2 * h], c[p:p + b], out=tmp[:b])
+    return c
 
 
 def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
@@ -381,10 +405,14 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
     the packed input rows X, written over X itself.
 
     Consumes ``caches``: each step's pre-activation gradient goes over its
-    gate rows once read, and once a layer's time loop has read its cell
-    states, their rows hold the layer's h_prev and then the gradient on
-    its input.  The per-step arrays come from ``work`` (a fresh
-    :class:`Workspace` when None), under keys that no forward takes.
+    gate rows once read.  The arrays come from ``work`` (a fresh
+    :class:`Workspace` when None), which may be the forward's ``shared``:
+    a layer's cell rows are rebuilt from its gates into ``"h_rows"``, and
+    the time loop writes each step's hidden state over its cell state once
+    that is dead.  Those rows are the layer's h_prev, and the input of the
+    layer above, whose input weight gradient waits for them.  ``"d_rows"``
+    holds the gathered h_prev and then the gradient on the layer's input.
+    The per-step arrays take B rows.
     """
     dtype = layers[0].w_x.values.dtype
     if not pack.bs:
@@ -401,8 +429,7 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
     d_above = None  # gradient on the current layer's packed output rows
     for li in range(len(layers) - 1, -1, -1):
         layer = layers[li]
-        cache = caches[li]
-        gates, c = cache.gates, cache.c
+        gates = caches[li].gates
         h = layer.hidden
         order, _ = _gate_layout(h, dtype)
         w_h = layer.w_h.values[order]
@@ -412,6 +439,7 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
         dgate = work.take("dgate", (B0, 4 * h), dtype)
         dtc = work.take("dtc", (B0, h), dtype)
         tmp = work.take("tmp", (B0, h), dtype)
+        c = _cell_rows(gates, pack, work.take("h_rows", (N, h), dtype), tmp)
         dh = work.take("dh", (B0, h), dtype)
         if li == len(layers) - 1:
             np.take(dh_last, order_b, axis=0, out=dh, mode="clip")
@@ -430,6 +458,7 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             dct = dc[:b]
             dtct = np.tanh(c[r], out=dtc[:b])
             np.multiply(dht, dtct, out=dz[:, 2 * h:3 * h])
+            np.multiply(dtct, a[:, 2 * h:3 * h], out=c[r])   # c_t is dead: h_t over it
             np.multiply(dtct, dtct, out=dtct)
             np.subtract(1.0, dtct, out=dtct)
             tmpt = np.multiply(dht, a[:, 2 * h:3 * h], out=tmp[:b])
@@ -452,14 +481,18 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             if t:
                 np.matmul(dz, w_h, out=dht)
         DZ = gates   # every row now holds its step's pre-activation gradient
-        h_prev = np.take(cache.out, prev, axis=0, out=c[:N - B0], mode="clip")
-        layer.w_x.grad[order] += DZ.T @ cache.inp
+        if li + 1 < len(layers):   # c holds the hidden rows that the layer above read
+            above = layers[li + 1]
+            above.w_x.grad[_gate_layout(above.hidden, dtype)[0]] += caches[li + 1].gates.T @ c
+        h_prev = np.take(c, prev, axis=0, out=work.take("d_rows", (N - B0, h), dtype),
+                         mode="clip")
         layer.w_h.grad[order] += DZ[later].T @ h_prev
         layer.b.grad[order] += DZ.sum(axis=0)
-        # layer 0's input rows are read for the last time just above; an
-        # upper layer's input gradient fits its own cell rows when it is
-        # as wide, as in every stack roommem builds
-        into = cache.inp if li == 0 else c if c.shape[1] == layer.d_in else None
+        if li == 0:   # layer 0's input rows, read for the last time here, take its gradient
+            layer.w_x.grad[order] += DZ.T @ caches[0].inp
+            into = caches[0].inp
+        else:
+            into = work.take("d_rows", (N, layer.d_in), dtype)
         d_above = np.matmul(DZ, layer.w_x.values[order], out=into)
     return d_above
 

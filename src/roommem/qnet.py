@@ -14,10 +14,12 @@ Q-value per management action.
 Buffers: a :class:`QNetwork` and its copies (the trainer's target network,
 ``GreedyQ``'s snapshot, ``train``'s best net) form one family that
 owns the batch-sized arrays of their passes and reuses them from batch to
-batch: a workspace per branch, holding its packed token codes and LSTM
-rows, and one for the head, which every forward runs in; and a scratch
-holding the one array of embedded rows that every branch's forward fills
-in turn, and the backward's per-step arrays.  A cache from
+batch: a workspace per branch, holding its packed token codes and its
+LSTM gate rows, and one for the head, which every forward runs in; and a
+scratch holding the one array of embedded rows that every branch's
+forward fills in turn, two arrays of the LSTM rows that no cache keeps
+(hidden, cell and gradient rows, which every branch's forward and
+backward share), and the backward's per-step arrays.  A cache from
 ``forward_batch(..., need_cache=True)`` serves one
 :meth:`QNetwork.backward_batch` on its network, which embeds each
 branch's rows again from its codes just before that branch's LSTM
@@ -205,36 +207,66 @@ def _embed(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _embedding_grad(codes: np.ndarray, pack: Packing, dX: np.ndarray,
-                    n_rows: int) -> np.ndarray:
+                    n_rows: int, spare: np.ndarray) -> np.ndarray:
     """Gradient of :func:`_embed` on its (n_rows, d) table, given the
     packed rows' gradient dX: both head tokens take the head's gradient,
-    the tail token the tail's.  Rows are read in padded (t, b) order, so
-    one float64 ``bincount`` per column sums each entry's rows in the
-    order of a padded batch's (t, b, slot) codes, as one ``bincount`` over
-    all columns would, without a (N, 3, d) index.  Overwrites dX."""
+    the tail token the tail's.  dX's rows are gathered once in padded
+    (t, b) order into ``spare`` when it has room for them, and copied back
+    over dX as one contiguous (N, 3) array per column; so one float64
+    ``bincount`` per column sums each entry's rows in the order of a
+    padded batch's (t, b, slot) codes, as one ``bincount`` over all
+    columns would, without a (N, 3, d) index.  Overwrites dX."""
     dX = dX.reshape(codes.shape + (-1,))
     dX[:, 1] = dX[:, 0]
     rows = np.argsort(pack.pos)
     index = codes[rows].ravel()
-    grad = np.empty((n_rows, dX.shape[-1]))
-    for j in range(dX.shape[-1]):
-        grad[:, j] = np.bincount(index, weights=dX[rows, :, j].ravel(), minlength=n_rows)
+    d = dX.shape[-1]
+    spare = spare.reshape(-1)
+    padded = (spare[:dX.size] if spare.size >= dX.size
+              else np.empty(dX.size, dX.dtype)).reshape(dX.shape)
+    np.take(dX, rows, axis=0, out=padded, mode="clip")
+    cols = dX.reshape(d, *codes.shape)
+    np.copyto(cols, padded.transpose(2, 0, 1))
+    grad = np.empty((n_rows, d))
+    for j in range(d):
+        grad[:, j] = np.bincount(index, weights=cols[j].ravel(), minlength=n_rows)
     return grad
 
 
 @dataclass
 class _Buffers:
     """A network family's workspaces, and (network, cache) of its one intact
-    cache.  Per branch: ``"codes"``, the LSTM's ``("gates", i)``, ``("c",
-    i)`` and ``("out", i)`` rows, ``"rec"``, ``"h_last"`` and
-    ``"relu_mask"``; the head: ``"cat"``, ``"a1"``, ``"relu_mask"``; the
-    scratch: ``"rows"``, the embedded input rows of the branch that ran
-    last, and arrays of B rows for the forward's ``"z"`` and the
-    backward."""
+    cache.  Per branch: ``"codes"``, the LSTM's ``("gates", i)`` rows,
+    ``"h_last"`` and ``"relu_mask"``; the head: ``"cat"``, ``"a1"``,
+    ``"relu_mask"``; the scratch: ``"rows"``, the embedded input rows of
+    the branch that ran last, the LSTM's ``"h_rows"`` (the forward's
+    hidden rows, the backward's cell and hidden rows) and the backward's
+    ``"d_rows"``, and arrays of B rows for the forward's ``"z"``,
+    ``"c_roll"`` and ``"rec"`` and for the backward."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
     live: tuple = _STALE
+
+
+def _param_specs(n_tokens: int, d_emb: int, hidden: int,
+                 n_layers: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan-in) of each parameter, in :class:`QNetwork`'s
+    order, which is also the order ``create`` draws them in."""
+    specs = [("embedding", (n_tokens, d_emb), d_emb)]
+    for kind in BRANCHES:
+        d_in = 3 * d_emb
+        for li in range(n_layers):
+            name = f"{kind}.lstm{li}"
+            specs += [(f"{name}.w_x", (4 * hidden, d_in), d_in),
+                      (f"{name}.w_h", (4 * hidden, hidden), hidden),
+                      (f"{name}.b", (4 * hidden,), hidden)]
+            d_in = hidden
+        specs += [(f"{kind}.proj.w", (hidden, hidden), hidden),
+                  (f"{kind}.proj.b", (hidden,), hidden)]
+    cat = hidden * len(BRANCHES)
+    return specs + [("head1.w", (hidden, cat), cat), ("head1.b", (hidden,), cat),
+                    ("head2.w", (N_ACTIONS, hidden), hidden), ("head2.b", (N_ACTIONS,), hidden)]
 
 
 @dataclass
@@ -271,20 +303,8 @@ class QNetwork:
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
                hidden: int = 64, n_layers: int = 2, dtype=np.float64) -> "QNetwork":
         rng = np.random.default_rng(seed)
-        params = [init_uniform(rng, (vocab.n_tokens, d_emb), d_emb, dtype, "embedding")]
-        for kind in BRANCHES:
-            d_in = 3 * d_emb
-            for li in range(n_layers):
-                params += LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}").parameters()
-                d_in = hidden
-            params += [init_uniform(rng, (hidden, hidden), hidden, dtype, f"{kind}.proj.w"),
-                       init_uniform(rng, (hidden,), hidden, dtype, f"{kind}.proj.b")]
-        cat = hidden * len(BRANCHES)
-        params += [init_uniform(rng, (hidden, cat), cat, dtype, "head1.w"),
-                   init_uniform(rng, (hidden,), cat, dtype, "head1.b"),
-                   init_uniform(rng, (N_ACTIONS, hidden), hidden, dtype, "head2.w"),
-                   init_uniform(rng, (N_ACTIONS,), hidden, dtype, "head2.b")]
-        return cls(vocab, params)
+        return cls(vocab, [init_uniform(rng, shape, fan_in, dtype, name) for name, shape, fan_in
+                           in _param_specs(vocab.n_tokens, d_emb, hidden, n_layers)])
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -404,7 +424,8 @@ class QNetwork:
                                                  table.dtype))
         branch = self.branches[kind]
         h_last, lstm_caches = lstm_batch_forward(rows, pack, branch.lstm,
-                                                 need_cache=need_cache, work=work)
+                                                 need_cache=need_cache, work=work,
+                                                 shared=scratch)
         z, lin_x = linear_forward(h_last, branch.w, branch.b,
                                   out=scratch.take("z", (n, h), table.dtype))
         _, relu_m = relu_forward(z, out=out, mask=work.take("relu_mask", (n, h), bool))
@@ -441,7 +462,9 @@ class QNetwork:
             _embed(table, codes, lstm_caches[0].inp)
             dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last,
                                      work=scratch)
-            self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1)[:V]
+            # layer 0's gate rows are dead once the LSTM backward returns
+            self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1,
+                                                   lstm_caches[0].gates)[:V]
 
     # -- persistence ---------------------------------------------------------
 
@@ -496,25 +519,24 @@ class QNetwork:
         if header["dtype"] not in _CKPT_DTYPES:
             raise CheckpointError(f"unsupported dtype {header['dtype']!r}")
         dtype = np.dtype(header["dtype"])
-        net = cls.create(vocab, seed=0, d_emb=dims[0], hidden=dims[1], n_layers=dims[2],
-                         dtype=dtype)
-        extra = set(archive.files) - {_CKPT_HEADER} - {p.name for p in net.parameters()}
+        specs = _param_specs(vocab.n_tokens, *dims)
+        extra = set(archive.files) - {_CKPT_HEADER} - {name for name, _, _ in specs}
         if extra:
             raise CheckpointError(f"unexpected members {sorted(extra)}")
-        for p in net.parameters():
-            if p.name not in archive.files:
-                raise CheckpointError(f"missing tensor {p.name}")
-            vals = archive[p.name]
-            if vals.shape != p.values.shape:
-                raise CheckpointError(
-                    f"tensor {p.name} has shape {vals.shape}, expected {p.values.shape}")
+        params = []
+        for name, shape, _ in specs:
+            if name not in archive.files:
+                raise CheckpointError(f"missing tensor {name}")
+            vals = archive[name]
+            if vals.shape != shape:
+                raise CheckpointError(f"tensor {name} has shape {vals.shape}, expected {shape}")
             if vals.dtype != dtype:
                 raise CheckpointError(
-                    f"tensor {p.name} has dtype {vals.dtype.str}, the header says {dtype.str}")
+                    f"tensor {name} has dtype {vals.dtype.str}, the header says {dtype.str}")
             if not np.all(np.isfinite(vals)):
-                raise CheckpointError(f"tensor {p.name} holds a non-finite value")
-            p.values[...] = vals
-        return net
+                raise CheckpointError(f"tensor {name} holds a non-finite value")
+            params.append(ParamTensor.of(np.ascontiguousarray(vals), name))
+        return cls(vocab, params)
 
 
 def greedy_action(q: np.ndarray) -> int:

@@ -23,6 +23,8 @@ from roommem.nn import (
     sigmoid,
 )
 
+from roommem.nn import _cell_rows, _gate_layout
+
 from .oracles import fd_gradient, masked_lstm_backward, masked_lstm_forward, max_relative_error
 
 TOL = 1e-4
@@ -319,6 +321,62 @@ def _check_kernel_against_masked_reference(dtype, widths):
     assert np.all(dX[mask[..., 0] == 0.0] == 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("widths", [(5, 6), (5, 6, 6), (5, 6, 3)],
+                         ids=["one_layer", "two_layers", "narrower_upper"])
+def test_backward_rebuilds_the_forward_cell_and_hidden_rows(dtype, widths):
+    """The cache keeps only gate rows; the backward rebuilds each layer's
+    cell and hidden rows from them, and training stays bit-identical only
+    if every rebuilt row has the forward's bits.  The forward's rows are
+    read where it leaves them: the forward of the first t steps leaves
+    step t-1's cell state in its rolling buffer, and a stack's forward
+    leaves its top layer's hidden rows.  The backward's rebuilt hidden
+    rows are what its weight gradients multiply: h_prev for w_h, and the
+    layer below's rows for an upper layer's w_x."""
+    rng = np.random.default_rng(17)
+    B, T = 9, 6
+    layers = [LstmLayer.create(rng, a, b, dtype, f"l{i}")
+              for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    lengths, X, _ = _random_batch(rng, dtype, widths[0], B, T)
+    pack = Packing(lengths)
+    # each layer's forward cell and hidden rows at their padded (T * B) positions
+    cells, hidden = [], []
+    for k, layer in enumerate(layers, start=1):
+        h = layer.hidden
+        shared = Workspace()
+        lstm_batch_forward(_packed(X, pack), pack, layers[:k], shared=shared)
+        rows = np.zeros((T * B, h), dtype)
+        rows[pack.pos] = shared._flat["h_rows"][:pack.rows * h].reshape(-1, h)
+        hidden.append(rows)
+        rows = np.zeros((T * B, h), dtype)
+        for t in range(1, T + 1):
+            part = Packing(np.minimum(lengths, t))
+            shared = Workspace()
+            lstm_batch_forward(_packed(X, part), part, layers[:k], shared=shared)
+            b, B0 = part.bs[t - 1], part.bs[0]
+            roll = shared._flat["c_roll"][:2 * B0 * h].reshape(2, B0, h)
+            rows[part.pos[part.off[t - 1]:part.off[t - 1] + b]] = roll[(t - 1) % 2, :b]
+        cells.append(rows)
+
+    work = Workspace()
+    _, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True, work=work)
+    for cache, layer, want in zip(caches, layers, cells):
+        h = layer.hidden
+        c = _cell_rows(cache.gates, pack, np.empty((pack.rows, h), dtype), np.empty((B, h), dtype))
+        assert np.array_equal(c, want[pack.pos]), layer.w_x.name
+    dz = [cache.gates for cache in caches]   # each step's gate gradients, after the backward
+    dh = rng.normal(size=(B, widths[-1])).astype(dtype)
+    lstm_batch_backward(caches, layers, pack, dh, work=work)
+    B0 = pack.bs[0]
+    for li, layer in enumerate(layers):
+        order = _gate_layout(layer.hidden, np.dtype(dtype))[0]
+        h_prev = hidden[li][pack.pos[B0:] - B]   # the same sample one step earlier
+        assert np.array_equal(layer.w_h.grad[order], dz[li][B0:].T @ h_prev), layer.w_h.name
+        if li:
+            below = hidden[li - 1][pack.pos]
+            assert np.array_equal(layer.w_x.grad[order], dz[li].T @ below), layer.w_x.name
+
+
 def test_packing_rejects_bad_lengths():
     with pytest.raises(ValueError):
         Packing([2, -1])
@@ -360,19 +418,23 @@ def test_single_sequence_helpers_leave_the_sequence_alone(dtype):
 
 def test_layer_cache_is_smaller_than_the_masked_layout():
     """The masked kernel kept eight (T, B, h) arrays per layer (i, f, g, o,
-    candidate cell, its tanh, h_prev, c_prev).  The packed cache holds one
-    gate array plus the cell and hidden state, over live rows only, so even
-    a batch with no padding at all needs fewer bytes."""
+    candidate cell, its tanh, h_prev, c_prev).  The packed cache is each
+    layer's gate rows only, over live rows, plus the caller's input rows
+    for layer 0, so even a batch with no padding at all needs fewer bytes."""
     rng = np.random.default_rng(14)
     T, B, d_in, hidden = 6, 5, 3, 4
     layers = make_lstm_stack(rng, d_in, hidden, 2)
     X = rng.normal(size=(T, B, d_in))
     for lengths in (np.full(B, T), np.array([6, 1, 0, 3, 2])):
         pack = Packing(lengths)
-        _, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True)
+        rows = _packed(X, pack)
+        _, caches = lstm_batch_forward(rows, pack, layers, need_cache=True)
         masked = 8 * T * B * hidden * X.itemsize
-        for cache in caches:
-            assert cache.gates.nbytes + cache.c.nbytes + cache.out.nbytes < masked
+        assert caches[0].inp is rows
+        for li, cache in enumerate(caches):
+            assert cache.__slots__ == ("inp", "gates")
+            assert li == 0 or cache.inp is None
+            assert cache.gates.nbytes <= masked // 2
             assert cache.gates.shape == (lengths.sum(), 4 * hidden)
 
 

@@ -465,23 +465,32 @@ def test_a_td_step_holds_the_online_rows_and_per_step_gate_gradients():
 
 def test_a_td_step_keeps_only_its_lstm_cache():
     """After a td_loss at a small fp64 shape (B=64, up to 8 entries per
-    long-term system), every workspace array of more than B*4h elements
-    is an LSTM cache array, the one rows array that every branch embeds
-    into, or a branch's packed codes: no padded embeddings, no packed copy
-    of them, and no backward array of one row per step."""
+    long-term system), every branch workspace array of more than B*4h
+    elements is a layer's gate rows or the branch's packed codes, and the
+    scratch holds the one rows array that every branch embeds into plus
+    at most two arrays of (N, h) rows: no padded embeddings, no packed
+    copy of them, no cell or hidden rows kept beside the gates, and no
+    backward array of one row per step."""
     online = _desk_like_net(np.float64)
     target = online.clone()
     B = 64
-    td_loss(_desk_like_batch(online.vocab, np.random.default_rng(6), B, longest=8),
-            online, target, 0.65)
+    batch = _desk_like_batch(online.vocab, np.random.default_rng(6), B, longest=8)
+    td_loss(batch, online, target, 0.65)
     buffers = online._buffers
-    big = [(kind, key) for kind, work in (*buffers.work.items(), ("scratch", buffers.scratch))
-           for key, a in work._flat.items() if a.size > B * 4 * online.hidden]
-    lstm = [(kind, key) for kind, key in big
-            if kind in BRANCHES and isinstance(key, tuple) and key[0] in ("gates", "c", "out")]
-    assert lstm
-    rest = [k for k in big if k not in lstm]
-    assert set(rest) <= {("scratch", "rows")} | {(kind, "codes") for kind in BRANCHES}, rest
+    h = online.hidden
+    gates = set()
+    for kind in BRANCHES:
+        big = {key for key, a in buffers.work[kind]._flat.items() if a.size > B * 4 * h}
+        assert big - {"codes"} <= {("gates", i) for i in range(2)}, (kind, big)
+        gates |= big - {"codes"}
+    assert gates == {("gates", 0), ("gates", 1)}
+    N = max(sum(enc[bi].shape[0] for enc in encs)
+            for encs in ([t.enc_state for t in batch], [t.enc_next for t in batch])
+            for bi in range(len(BRANCHES)))
+    big = {key: a.size for key, a in buffers.scratch._flat.items() if a.size > B * 4 * h}
+    assert "rows" in big
+    rows = {key: size for key, size in big.items() if key != "rows"}
+    assert len(rows) <= 2 and all(size <= N * h for size in rows.values()), rows
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -491,7 +500,17 @@ def test_embedding_gradient_sums_in_padded_order(vocab, monkeypatch, dtype):
     input gradient at those positions, the relation slot taking the head's
     gradient: the sum order of the padded layout, which training results
     depend on.  Empty samples and semantic rows (owner slot -1) included."""
-    net = QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, n_layers=2, dtype=dtype)
+    _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb=4, hidden=6)
+
+
+def test_embedding_gradient_of_rows_wider_than_the_gate_rows(vocab, monkeypatch):
+    """With 3 * d_emb > 4 * hidden, the spent layer-0 gate rows cannot hold
+    the input gradient's columns, which then get an array of their own."""
+    _check_embedding_gradient(vocab, monkeypatch, np.float64, d_emb=9, hidden=2)
+
+
+def _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb, hidden):
+    net = QNetwork.create(vocab, seed=11, d_emb=d_emb, hidden=hidden, n_layers=2, dtype=dtype)
     rng = np.random.default_rng(21)
 
     def pick(names):
@@ -669,6 +688,29 @@ def test_save_load_round_trip(tmp_path, vocab, net):
     loaded = QNetwork.load(path)
     assert loaded.vocab == net.vocab
     assert np.array_equal(loaded.forward(st), net.forward(st))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_builds_the_saved_network_without_drawing_one(tmp_path, vocab, monkeypatch, dtype):
+    """load reads each parameter from the archive into the network's list;
+    it draws no random network to overwrite.  The round trip is bit for
+    bit, names, dtypes and the forward included."""
+    net = QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, n_layers=2, dtype=dtype)
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load drew a random network")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(qnet, "init_uniform", no_draw)
+    loaded = QNetwork.load(path)
+    for p, q in zip(loaded.parameters(), net.parameters(), strict=True):
+        assert p.name == q.name and p.values.dtype == q.values.dtype, p.name
+        assert p.values.tobytes() == q.values.tobytes() and p.values.flags.c_contiguous, p.name
+        assert not p.grad.any() and p.values.flags.writeable
+    st = state_of(short=[epi("Ann", "bowl", "desk", 0)], episodic=[epi("Bob", "mug", "lap", 1)],
+                  semantic=[sem("mug", "lap", 2)])
+    assert loaded.forward(st).tobytes() == net.forward(st).tobytes()
 
 
 def test_save_replaces_existing_checkpoint_atomically(tmp_path, vocab, net):
