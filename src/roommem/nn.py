@@ -28,6 +28,16 @@ backpropagation through time of Gruslys et al. 2016 and Chen et al.
 activated BatchNorm does (Rota Bulò et al. 2018): the gate rows take the
 gate gradients, a layer's rebuilt cell rows its hidden rows, and the
 input rows the returned input gradient.  :class:`Adam` keeps its own.
+
+Row blocks: a GEMM over all N packed rows, the input projection and the
+gradient on a layer's input, runs in near-equal blocks of at most
+``_ROW_BLOCK`` rows.  OpenBLAS grows its per-thread packing buffers with
+a GEMM's row count and keeps them for the life of the process, so one
+whole-height GEMM at the paper shape would hold them at its size for
+good.  Each output row is the same dot products whatever the block
+height, so the blocks give the whole GEMM's bits (no block is a small
+remainder, for which BLAS takes other paths); the weight gradients, whose
+sums run over the N rows, stay whole.
 """
 from __future__ import annotations
 
@@ -286,11 +296,41 @@ def _gate_layout(h: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return order, scale
 
 
+# Largest row block of a GEMM over the packed rows.  After 4 paper-shape TD
+# steps (about 13,400 rows per long branch, fp64, 2 OpenBLAS 0.3.31 threads
+# on a 2-CPU Xeon), whole-height GEMMs left two 13.6 MiB packing buffers
+# resident; in 1,024-row blocks the process's other anonymous memory fell
+# from 55.3 to 30.7 MiB (scripts/memory_breakdown.py), and a td_loss took
+# 0.531 s either way (median of 12 alternating calls).
+_ROW_BLOCK = 1024
+
+
+def _row_blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out``, in near-equal blocks of at most
+    ``_ROW_BLOCK`` rows of ``a``."""
+    n = a.shape[0]
+    blocks = max(1, -(-n // _ROW_BLOCK))
+    for k in range(blocks):
+        r = slice(n * k // blocks, n * (k + 1) // blocks)
+        np.matmul(a[r], b, out=out[r])
+    return out
+
+
 def _fused(values: np.ndarray, order: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """A weight or bias in the kernel's gate layout, as one new array."""
     out = values[order]
     out *= scale
     return out
+
+
+def _add_gate_rows(grad: np.ndarray, rows: np.ndarray) -> None:
+    """``grad += rows`` for ``rows`` in the kernel's (i, f, o, g) gate
+    order and ``grad`` in the layer's (i, f, g, o): three block adds, with
+    no gathered copy of ``grad``."""
+    h = grad.shape[0] // 4
+    grad[:2 * h] += rows[:2 * h]
+    grad[2 * h:3 * h] += rows[3 * h:]
+    grad[3 * h:] += rows[2 * h:3 * h]
 
 
 class _LayerCache:
@@ -353,7 +393,7 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
         order, scale = _gate_layout(h, dtype)
         w_h_t = _fused(layer.w_h.values, order, scale).T
         gates = work.take(("gates", li), (N, 4 * h), dtype)
-        np.matmul(inp, _fused(layer.w_x.values, order, scale).T, out=gates)
+        _row_blocked_matmul(inp, _fused(layer.w_x.values, order, scale).T, gates)
         gates += _fused(layer.b.values, order, scale[:, 0])
         out = shared.take("h_rows", (N, h), dtype)
         c = shared.take("c_roll", (2, pack.bs[0], h), dtype)
@@ -483,17 +523,17 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
         DZ = gates   # every row now holds its step's pre-activation gradient
         if li + 1 < len(layers):   # c holds the hidden rows that the layer above read
             above = layers[li + 1]
-            above.w_x.grad[_gate_layout(above.hidden, dtype)[0]] += caches[li + 1].gates.T @ c
+            _add_gate_rows(above.w_x.grad, caches[li + 1].gates.T @ c)
         h_prev = np.take(c, prev, axis=0, out=work.take("d_rows", (N - B0, h), dtype),
                          mode="clip")
-        layer.w_h.grad[order] += DZ[later].T @ h_prev
-        layer.b.grad[order] += DZ.sum(axis=0)
+        _add_gate_rows(layer.w_h.grad, DZ[later].T @ h_prev)
+        _add_gate_rows(layer.b.grad, DZ.sum(axis=0))
         if li == 0:   # layer 0's input rows, read for the last time here, take its gradient
-            layer.w_x.grad[order] += DZ.T @ caches[0].inp
+            _add_gate_rows(layer.w_x.grad, DZ.T @ caches[0].inp)
             into = caches[0].inp
         else:
             into = work.take("d_rows", (N, layer.d_in), dtype)
-        d_above = np.matmul(DZ, layer.w_x.values[order], out=into)
+        d_above = _row_blocked_matmul(DZ, layer.w_x.values[order], into)
     return d_above
 
 

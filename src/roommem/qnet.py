@@ -7,6 +7,12 @@ head slot of an empty branch.  Entries are sorted ascending by value
 (timestamp or strength) before encoding, stable so equal values keep
 insertion order.
 
+The zero relation slot never enters a GEMM: the rows hold head | tail
+only, and layer 0 runs on the head and tail column blocks of its
+(4h, 3*d_emb) input weight.  The relation columns stay in the parameter
+list, in checkpoints and in the parameter count; their gradient is
+exactly zero, so Adam leaves them at their initial values.
+
 One branch per memory system: encode, two LSTM layers, linear + ReLU.
 The three branch vectors concatenate into a shared head that emits one
 Q-value per management action.
@@ -190,19 +196,38 @@ def _pack_codes(seqs: list[np.ndarray], pad: int,
     if pack.rows:
         step, sample = np.divmod(pack.pos, pack.batch)
         start = np.array(list(accumulate(lengths, initial=0))[:-1])
-        np.take(np.concatenate(seqs, dtype=np.int64), start[sample] + step, axis=0, out=out)
+        np.take(np.concatenate(seqs, dtype=np.int64), start[sample] + step, axis=0, out=out,
+                mode="clip")   # "raise" would fill a hidden copy of out
         out[out < 0] = pad
     return out, pack
 
 
-def _embed(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(N, 3) codes -> (N, 3*d) rows laid out head | relation | tail, in
-    ``out``.  The head embeds as the sum of its two tokens; the relation
-    third is zero."""
-    X = out.reshape(codes.shape + table.shape[1:])
-    np.take(table, codes, axis=0, out=X, mode="clip")
-    X[:, 0] += X[:, 1]
-    X[:, 1] = 0.0
+def _dead(spare: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the dead buffer ``spare``, or a new
+    array when ``spare`` is too small for one."""
+    n = int(np.prod(shape))
+    if spare.size < n:
+        return np.empty(shape, spare.dtype)
+    return spare.reshape(-1)[:n].reshape(shape)
+
+
+def _embed(table: np.ndarray, codes: np.ndarray, out: np.ndarray,
+           spare: np.ndarray) -> np.ndarray:
+    """(N, 3) codes -> (N, 2*d) rows laid out head | tail, in ``out``.  The
+    head embeds as the sum of its two tokens; the relation slot, always
+    zero, is left out.  Each ``take`` gathers into C-contiguous (N, d)
+    blocks of the dead buffer ``spare``: into any other ``out``, numpy's
+    ``take`` fills a hidden C-contiguous copy of it first.  The head's sum
+    adds two such blocks, because a ufunc over strided rows allocates
+    iteration buffers of its own."""
+    N, d = codes.shape[0], table.shape[1]
+    tokens = _dead(spare, (2, N, d))
+    np.take(table, codes[:, :2].T, axis=0, out=tokens, mode="clip")
+    head, other = tokens
+    np.add(head, other, out=head)
+    out[:, :d] = head
+    np.take(table, codes[:, 2], axis=0, out=other, mode="clip")   # the tail
+    out[:, d:] = other
     return out
 
 
@@ -211,25 +236,25 @@ def _embedding_grad(codes: np.ndarray, pack: Packing, dX: np.ndarray,
     """Gradient of :func:`_embed` on its (n_rows, d) table, given the
     packed rows' gradient dX: both head tokens take the head's gradient,
     the tail token the tail's.  dX's rows are gathered once in padded
-    (t, b) order into ``spare`` when it has room for them, and copied back
-    over dX as one contiguous (N, 3) array per column; so one float64
-    ``bincount`` per column sums each entry's rows in the order of a
-    padded batch's (t, b, slot) codes, as one ``bincount`` over all
-    columns would, without a (N, 3, d) index.  Overwrites dX."""
-    dX = dX.reshape(codes.shape + (-1,))
-    dX[:, 1] = dX[:, 0]
+    (t, b) order into the dead buffer ``spare`` (see :func:`_dead`) and
+    copied back over dX as one contiguous row per column.  Each column's
+    float64 ``bincount`` then reads (N, 3) weights, head, head and tail, in
+    the order of a padded batch's (t, b, slot) codes, as one ``bincount``
+    over all columns would, without a (N, 3, d) index.  Overwrites dX."""
+    N, d = codes.shape[0], dX.shape[1] // 2
     rows = np.argsort(pack.pos)
     index = codes[rows].ravel()
-    d = dX.shape[-1]
-    spare = spare.reshape(-1)
-    padded = (spare[:dX.size] if spare.size >= dX.size
-              else np.empty(dX.size, dX.dtype)).reshape(dX.shape)
+    padded = _dead(spare, dX.shape)
     np.take(dX, rows, axis=0, out=padded, mode="clip")
-    cols = dX.reshape(d, *codes.shape)
-    np.copyto(cols, padded.transpose(2, 0, 1))
+    cols = dX.reshape(2 * d, N)
+    np.copyto(cols, padded.T)
+    weights = _dead(padded, (N, 3))
     grad = np.empty((n_rows, d))
     for j in range(d):
-        grad[:, j] = np.bincount(index, weights=cols[j].ravel(), minlength=n_rows)
+        weights[:, 0] = cols[j]
+        weights[:, 1] = cols[j]
+        weights[:, 2] = cols[d + j]
+        grad[:, j] = np.bincount(index, weights=weights.reshape(-1), minlength=n_rows)
     return grad
 
 
@@ -242,7 +267,9 @@ class _Buffers:
     the branch that ran last, the LSTM's ``"h_rows"`` (the forward's
     hidden rows, the backward's cell and hidden rows) and the backward's
     ``"d_rows"``, and arrays of B rows for the forward's ``"z"``,
-    ``"c_roll"`` and ``"rec"`` and for the backward."""
+    ``"c_roll"`` and ``"rec"`` and for the backward.  Each branch also
+    keeps layer 0's head | tail input weight ``"w_x0"`` and its gradient
+    ``"w_x0.grad"`` (see :meth:`QNetwork._head_tail_lstm`)."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
@@ -351,6 +378,22 @@ class QNetwork:
         for p, q in pairs:
             p.values[...] = q.values
 
+    def _head_tail_lstm(self, kind: str) -> list[LstmLayer]:
+        """Branch ``kind``'s LSTM as the kernel runs it on head | tail rows:
+        layer 0's w_x is the head and tail column blocks of its (4h, 3*d_emb)
+        parameter, copied into the branch's ``"w_x0"``, with the gradient
+        ``"w_x0.grad"``, which :meth:`backward_batch` zeroes before the
+        kernel accumulates into it and then adds into the parameter's."""
+        first, *above = self.branches[kind].lstm
+        w_x, d = first.w_x.values, self.d_emb
+        work = self._buffers.work[kind]
+        head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
+        head_tail[:, :d] = w_x[:, :d]
+        head_tail[:, d:] = w_x[:, 2 * d:]
+        grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
+        return [LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
+                *above]
+
     # -- forward -------------------------------------------------------------
 
     def forward(self, state) -> np.ndarray:
@@ -420,12 +463,14 @@ class QNetwork:
         work = self._buffers.work[kind]
         n, h = len(seqs), self.hidden
         codes, pack = _pack_codes(seqs, table.shape[0] - 1, work)
-        rows = _embed(table, codes, scratch.take("rows", (pack.rows, 3 * self.d_emb),
-                                                 table.dtype))
         branch = self.branches[kind]
-        h_last, lstm_caches = lstm_batch_forward(rows, pack, branch.lstm,
-                                                 need_cache=need_cache, work=work,
-                                                 shared=scratch)
+        lstm = self._head_tail_lstm(kind)
+        # layer 0's gate rows are dead until its input projection
+        gates = work.take(("gates", 0), (pack.rows, 4 * h), table.dtype)
+        rows = _embed(table, codes, scratch.take("rows", (pack.rows, 2 * self.d_emb),
+                                                 table.dtype), gates)
+        h_last, lstm_caches = lstm_batch_forward(rows, pack, lstm, need_cache=need_cache,
+                                                 work=work, shared=scratch)
         z, lin_x = linear_forward(h_last, branch.w, branch.b,
                                   out=scratch.take("z", (n, h), table.dtype))
         _, relu_m = relu_forward(z, out=out, mask=work.take("relu_mask", (n, h), bool))
@@ -448,7 +493,7 @@ class QNetwork:
         dz1 = relu_backward(m1, da1, out=da1)
         dcat = linear_backward(x1, self.head_w1, self.head_b1, dz1,
                                out=scratch.take("dcat", x1.shape, dtype))
-        V = self.embedding.values.shape[0]
+        V, d = self.embedding.values.shape
         for bi, kind in enumerate(BRANCHES):
             codes, pack, lstm_caches, lin_x, relu_m = branch_caches[kind]
             da = dcat[:, bi * h:(bi + 1) * h]
@@ -458,10 +503,16 @@ class QNetwork:
                                       out=scratch.take("dh_last", (B, h), dtype))
             if not lstm_caches:  # all-empty branch contributed constant zeros
                 continue
-            # the shared rows now hold a later branch's; embed this one's again
-            _embed(table, codes, lstm_caches[0].inp)
-            dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last,
-                                     work=scratch)
+            # the shared rows now hold a later branch's; embed this one's
+            # again, through "d_rows", which the LSTM backward writes later
+            _embed(table, codes, lstm_caches[0].inp,
+                   scratch.take("d_rows", (pack.rows, 2 * d), dtype))
+            lstm = self._head_tail_lstm(kind)
+            lstm[0].w_x.grad.fill(0.0)
+            dX = lstm_batch_backward(lstm_caches, lstm, pack, dh_last, work=scratch)
+            w_x, head_tail = branch.lstm[0].w_x.grad, lstm[0].w_x.grad
+            w_x[:, :d] += head_tail[:, :d]
+            w_x[:, 2 * d:] += head_tail[:, d:]
             # layer 0's gate rows are dead once the LSTM backward returns
             self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1,
                                                    lstm_caches[0].gates)[:V]

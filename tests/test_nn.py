@@ -23,7 +23,7 @@ from roommem.nn import (
     sigmoid,
 )
 
-from roommem.nn import _cell_rows, _gate_layout
+from roommem.nn import _cell_rows, _gate_layout, _row_blocked_matmul
 
 from .oracles import fd_gradient, masked_lstm_backward, masked_lstm_forward, max_relative_error
 
@@ -436,6 +436,23 @@ def test_layer_cache_is_smaller_than_the_masked_layout():
             assert li == 0 or cache.inp is None
             assert cache.gates.nbytes <= masked // 2
             assert cache.gates.shape == (lengths.sum(), 4 * hidden)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1023, 1025, 2049, 13200])
+def test_row_blocked_matmul_is_one_matmul_bit_for_bit(dtype, rows):
+    """A canary for the BLAS: the row blocks of the LSTM kernel's tall GEMMs
+    give every output row the bits of one whole-height ``np.matmul``, at
+    the kernel's operand widths (packed input rows 64 or 96 wide, gate
+    rows 256 wide) and with the transposed weight views the forward uses."""
+    rng = np.random.default_rng(rows)
+    for k, m in ((64, 256), (96, 256), (256, 64), (256, 96)):
+        a = rng.normal(size=(rows, k)).astype(dtype)
+        w = rng.normal(size=(m, k)).astype(dtype)
+        for b in (w.T, np.ascontiguousarray(w.T)):
+            out = np.full((rows, m), np.nan, dtype)
+            assert _row_blocked_matmul(a, b, out) is out
+            assert np.array_equal(out, np.matmul(a, b)), (k, m, b.flags.c_contiguous)
 
 
 def test_adam_single_step_frozen():

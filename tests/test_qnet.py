@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roommem.configio import load_preset
 from roommem.kb import generate_synthetic_kb
 from roommem.memory import (
     EPISODIC,
@@ -32,7 +33,8 @@ from roommem.qnet import (
     greedy_action,
 )
 from roommem.qnet import _embed, _entry_tokens, _pack_codes
-from roommem.trainer import Transition, td_loss
+from roommem.seeding import ROLE_PARAMS, derive_seed
+from roommem.trainer import Transition, build_vocabulary, td_loss, train
 
 from .oracles import fd_gradient, max_relative_error
 
@@ -162,24 +164,33 @@ def test_encode_system_matches_the_per_entry_path(case):
 
 
 def embed_rows(vocab, net, kind, entries):
-    """One system's entries through the batched gather, as the (n, 3*d)
-    packed rows of a batch of one sample."""
+    """One system's entries through the batched gather, as the (n, 2*d)
+    packed head | tail rows of a batch of one sample."""
     emb = net.embedding.values
     table = np.vstack([emb, np.zeros((1, emb.shape[1]))])
     codes, pack = _pack_codes([encode_system(vocab, kind, entries)], emb.shape[0], Workspace())
-    return _embed(table, codes, np.empty((pack.rows, 3 * emb.shape[1])))
+    spare = np.full(pack.rows * 3 * emb.shape[1], np.nan)   # a dead buffer holds garbage
+    return _embed(table, codes, np.empty((pack.rows, 2 * emb.shape[1])), spare)
 
 
 def test_kge_rows_zero_relation_slot(vocab, net):
+    """The rows are the (head, relation, tail) triples without their zero
+    relation slot, and layer 0 runs on them with the head and tail column
+    blocks of its w_x: the projection of the full triples."""
     d = 4
     entries = [epi("Ann", "bowl", "desk", 1), epi("Bob", "mug", "lap", 3)]
     X = embed_rows(vocab, net, EPISODIC, entries)
-    assert X.shape == (2, 3 * d)
-    assert np.all(X[:, d:2 * d] == 0.0)
+    assert X.shape == (2, 2 * d)
+    triples = np.hstack([X[:, :d], np.zeros((2, d)), X[:, d:]])
     emb = net.embedding.values
     want_head = emb[vocab.token("Ann")] + emb[vocab.token("bowl")]
-    assert np.allclose(X[0, :d], want_head)
-    assert np.allclose(X[0, 2 * d:], emb[vocab.token("desk")])
+    assert np.allclose(triples[0, :d], want_head)
+    assert np.all(triples[:, d:2 * d] == 0.0)
+    assert np.allclose(triples[0, 2 * d:], emb[vocab.token("desk")])
+    w_x = net.branches[EPISODIC].lstm[0].w_x.values
+    head_tail = net._head_tail_lstm(EPISODIC)[0].w_x.values
+    assert np.array_equal(head_tail, np.delete(w_x, np.s_[d:2 * d], axis=1))
+    assert np.allclose(X @ head_tail.T, triples @ w_x.T, rtol=0, atol=1e-15)
 
 
 def test_kge_semantic_head_is_bare_object(vocab, net):
@@ -187,7 +198,7 @@ def test_kge_semantic_head_is_bare_object(vocab, net):
     X = embed_rows(vocab, net, SEMANTIC, [sem("mug", "bed", 2)])
     emb = net.embedding.values
     assert np.allclose(X[0, :d], emb[vocab.token("mug")])
-    assert np.allclose(X[0, 2 * d:], emb[vocab.token("bed")])
+    assert np.allclose(X[0, d:], emb[vocab.token("bed")])
 
 
 def test_encode_state_covers_three_systems(vocab):
@@ -493,6 +504,59 @@ def test_a_td_step_keeps_only_its_lstm_cache():
     assert len(rows) <= 2 and all(size <= N * h for size in rows.values()), rows
 
 
+def test_warm_cached_pass_makes_no_row_sized_temporary():
+    """A warm cached forward + backward at B=256, fp64, allocates less than
+    one (packed rows x d_emb) array beyond the family's buffers: no hidden
+    copy of a ``take`` into a strided ``out`` and no temporary of one row
+    per packed row and embedding column."""
+    net = _desk_like_net(np.float64)
+    batch = _desk_like_batch(net.vocab, np.random.default_rng(9), 256)
+    enc = [t.enc_state for t in batch]
+    dq = np.random.default_rng(3).normal(size=(len(enc), N_ACTIONS))
+    N = max(sum(e[bi].shape[0] for e in enc) for bi in range(len(BRANCHES)))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, cache = net.forward_batch(enc, need_cache=True)
+            net.backward_batch(cache, dq)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[1:]) < N * net.d_emb * 8, (peaks, N)
+
+
+def test_layer0_relation_columns_are_inert():
+    """The relation slot of every triple is zero, so layer 0's relation
+    columns of w_x get an exactly zero gradient, and Adam leaves them at
+    their initial values: that is what lets the kernel skip them."""
+    cfg = load_preset("desk.env")
+    env = dataclasses.replace(cfg.env, episode_length=16)
+    tc = dataclasses.replace(cfg.train, epochs=2, batch_size=32, replay_size=64, warm_start=64,
+                             eval_iterations=1)
+    result = train(env, "scratch", (16, 16), tc, seed=4)
+    vocab, _ = build_vocabulary(env)
+    initial = QNetwork.create(vocab, derive_seed(4, ROLE_PARAMS), d_emb=tc.d_emb,
+                              hidden=tc.hidden, n_layers=tc.n_layers, dtype=tc.dtype)
+    d = tc.d_emb
+    for kind in BRANCHES:
+        trained = result.net.branches[kind].lstm[0].w_x.values
+        start = initial.branches[kind].lstm[0].w_x.values
+        assert np.array_equal(trained[:, d:2 * d], start[:, d:2 * d]), kind
+        assert not np.array_equal(trained[:, :d], start[:, :d]), kind
+
+    net = _desk_like_net(np.float64)
+    batch = _desk_like_batch(net.vocab, np.random.default_rng(4), 64)
+    q, cache = net.forward_batch([t.enc_state for t in batch], need_cache=True)
+    net.backward_batch(cache, np.random.default_rng(5).normal(size=q.shape))
+    for kind in BRANCHES:
+        grad = net.branches[kind].lstm[0].w_x.grad
+        assert np.all(grad[:, net.d_emb:2 * net.d_emb] == 0.0), kind
+        assert np.count_nonzero(np.delete(grad, np.s_[net.d_emb:2 * net.d_emb], axis=1)), kind
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_embedding_gradient_sums_in_padded_order(vocab, monkeypatch, dtype):
     """backward_batch's embedding gradient is, bit for bit, one float64
@@ -504,9 +568,12 @@ def test_embedding_gradient_sums_in_padded_order(vocab, monkeypatch, dtype):
 
 
 def test_embedding_gradient_of_rows_wider_than_the_gate_rows(vocab, monkeypatch):
-    """With 3 * d_emb > 4 * hidden, the spent layer-0 gate rows cannot hold
-    the input gradient's columns, which then get an array of their own."""
-    _check_embedding_gradient(vocab, monkeypatch, np.float64, d_emb=9, hidden=2)
+    """With 3 * d_emb > 4 * hidden (and 2 * d_emb too), layer 0's gate rows
+    cannot hold the embedding's gather in the forward, nor the input
+    gradient's columns once spent, which then get arrays of their own."""
+    net, packs = _check_embedding_gradient(vocab, monkeypatch, np.float64, d_emb=9, hidden=2)
+    for kind, pack in zip(BRANCHES, packs):   # no gather grew the gate rows
+        assert net._buffers.work[kind]._flat[("gates", 0)].size == pack.rows * 4 * 2
 
 
 def _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb, hidden):
@@ -547,10 +614,9 @@ def _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb, hidden):
         lengths = [e[bi].shape[0] for e in enc]
         assert 0 in lengths
         codes = np.full((T, B, 3), V)
-        dX_pad = np.zeros((T * B, 3 * d))
+        dX_pad = np.zeros((T * B, 2 * d))
         dX_pad[pack.pos] = dX
-        dX_pad = dX_pad.reshape(T, B, 3, d)
-        dX_pad[:, :, 1] = dX_pad[:, :, 0]
+        dX_pad = dX_pad.reshape(T, B, 2, d)[:, :, [0, 0, 1]]   # head, head, tail
         for b, e in enumerate(enc):
             codes[:e[bi].shape[0], b] = np.where(e[bi] < 0, V, e[bi])
         index = codes[..., None] * d + np.arange(d)
@@ -558,6 +624,7 @@ def _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb, hidden):
         want += grad.reshape(V + 1, d)[:V]
     assert any(np.any(e[2][:, 1] == -1) for e in enc)
     assert np.array_equal(net.embedding.grad, want)
+    return net, [pack for pack, _ in seen]
 
 
 def test_full_network_gradient_fd(vocab, net):
