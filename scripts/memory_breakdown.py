@@ -10,14 +10,17 @@ capacity 32, with the trainer's warm-start loop and seed roles, then runs
 precision.  It prints the network family's workspace arrays, MiB per key,
 and splits the process RSS into the workspaces' memory maps, the heap,
 the other anonymous maps (where BLAS keeps its packing buffers) and
-file-backed maps.  The RSS split only reads ``/proc/self/smaps`` and
-``/proc/self/pagemap``.
+file-backed maps; beside it, the median time of a step, so that one run
+shows both sides of a trade of memory for time.  The RSS split only
+reads ``/proc/self/smaps`` and ``/proc/self/pagemap``.
 """
 from __future__ import annotations
 
 import argparse
 import mmap
 import resource
+import statistics
+import time
 
 import numpy as np
 
@@ -99,11 +102,15 @@ def main(argv=None) -> None:
     fill(cfg, vocab, replay, args.fill, args.seed)
     online = QNetwork.create(vocab, derive_seed(args.seed, ROLE_PARAMS), d_emb=tc.d_emb,
                              hidden=tc.hidden, n_layers=tc.n_layers, dtype=tc.dtype)
-    target = online.clone()
+    target = online._gradless(writeable=True)   # as train's
     optimizer = nn.Adam(online.parameters(), lr=tc.lr)
+    seconds = []
     for _ in range(args.steps):
-        loss = trainer.td_loss(replay.sample(tc.batch_size), online, target, tc.gamma)
+        batch = replay.sample(tc.batch_size)
+        start = time.perf_counter()
+        loss = trainer.td_loss(batch, online, target, tc.gamma)
         optimizer.step()
+        seconds.append(time.perf_counter() - start)
     print(f"{args.preset}: B={tc.batch_size}, fp{tc.precision}, {args.fill} transitions, "
           f"{args.steps} steps, last loss {loss!r}")
 
@@ -124,6 +131,8 @@ def main(argv=None) -> None:
     print(f"  {'total':<16} {sum(split.values()) / MiB:8.2f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"  {'peak (ru_maxrss)':<16} {peak:8.2f}")
+    print(f"\ntd_loss + Adam step, median of {len(seconds)}, ms "
+          f"{1000 * statistics.median(seconds):.2f}")
 
 
 if __name__ == "__main__":

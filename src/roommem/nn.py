@@ -18,23 +18,34 @@ their batch-sized arrays from a :class:`Workspace`, and the linear and ReLU
 helpers write to ``out`` arrays.  Called without them, as the
 single-sequence helpers and the tests do, each call makes fresh arrays.  A
 caller that passes a workspace owns every array handed out of it.  A
-forward's cache is each layer's gate rows plus the caller's input rows,
-which it does not copy; it lasts until the next forward on the
-workspace, and the backward consumes it.  The backward rebuilds each
-layer's cell and hidden rows from the gates with the forward's own
-operations, so they have the forward's bits: the memory-efficient
-backpropagation through time of Gruslys et al. 2016 and Chen et al.
-2016.  Each array is overwritten once its last read is done, as in-place
-activated BatchNorm does (Rota Bulò et al. 2018): the gate rows take the
-gate gradients, a layer's rebuilt cell rows its hidden rows, and the
-input rows the returned input gradient.  :class:`Adam` keeps its own.
+forward's cache is checkpointed at layer boundaries (Chen et al. 2016):
+the top layer's (N, 4h) gate rows, each lower layer's (N, h) hidden
+rows, and the caller's input rows, which it does not copy; it lasts
+until the next forward on the workspace, and the backward consumes it.
+A lower layer's gates are working rows in the forward, held in the top
+layer's gate array, which is dead until the top layer's projection.  The
+backward recomputes them into the same array once the layer above is
+done with it, from the layer's input and hidden rows, and rebuilds each
+layer's cell rows (the top layer's hidden rows too) from its gates, all
+with the forward's own operations in the forward's order, so every row
+has the forward's bits: the memory-efficient backpropagation through
+time of Gruslys et al. 2016.  The recompute takes the recurrent term of
+all steps of 5 or more rows from a few tall GEMMs over their gathered
+h_prev rows, where the forward ran one GEMM per step.  That gives the
+same bits because each row of an OpenBLAS GEMM of 5 or more rows is the
+same dot products whatever the height; for 4 rows or fewer it takes
+other paths, so those steps run alone, as in the forward.  Each array is
+overwritten once its last read is done, as in-place activated BatchNorm
+does (Rota Bulò et al. 2018): the gate rows take the gate gradients, a
+layer's rebuilt cell rows its hidden rows, and the input rows the
+returned input gradient.  :class:`Adam` keeps its own.
 
-Row blocks: a GEMM over all N packed rows, the input projection and the
-gradient on a layer's input, runs in near-equal blocks of at most
-``_ROW_BLOCK`` rows.  OpenBLAS grows its per-thread packing buffers with
-a GEMM's row count and keeps them for the life of the process, so one
-whole-height GEMM at the paper shape would hold them at its size for
-good.  Each output row is the same dot products whatever the block
+Row blocks: a GEMM over all N packed rows, the input projection, the
+gradient on a layer's input and the recompute's recurrent term, runs in
+near-equal blocks of at most ``_ROW_BLOCK`` rows.  OpenBLAS grows its
+per-thread packing buffers with a GEMM's row count and keeps them for
+the life of the process, so one whole-height GEMM at the paper shape
+would hold them at its size for good.  Each output row is the same dot products whatever the block
 height, so the blocks give the whole GEMM's bits (no block is a small
 remainder, for which BLAS takes other paths); the weight gradients, whose
 sums run over the N rows, stay whole.
@@ -305,13 +316,16 @@ def _gate_layout(h: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 _ROW_BLOCK = 1024
 
 
+def _blocks(n: int, most: int) -> list[slice]:
+    """``range(n)`` as near-equal slices of at most ``most`` rows."""
+    k = max(1, -(-n // most))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _row_blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ b`` into ``out``, in near-equal blocks of at most
     ``_ROW_BLOCK`` rows of ``a``."""
-    n = a.shape[0]
-    blocks = max(1, -(-n // _ROW_BLOCK))
-    for k in range(blocks):
-        r = slice(n * k // blocks, n * (k + 1) // blocks)
+    for r in _blocks(a.shape[0], _ROW_BLOCK):
         np.matmul(a[r], b, out=out[r])
     return out
 
@@ -334,11 +348,25 @@ def _add_gate_rows(grad: np.ndarray, rows: np.ndarray) -> None:
 
 
 class _LayerCache:
-    __slots__ = ("inp", "gates")
+    """What a layer keeps for the backward: the top layer its gate rows, a
+    lower layer its hidden rows, a quarter of that size, from which and
+    its input rows the backward recomputes its gates; the rest is None."""
 
-    def __init__(self, inp, gates):
-        self.inp = inp        # (N, d_in) packed input rows of layer 0; None above it
-        self.gates = gates    # (N, 4h) activations, gate order (i, f, o, g)
+    __slots__ = ("inp", "gates", "hid")
+
+    def __init__(self, inp, gates, hid):
+        self.inp = inp        # (N, d_in) packed input rows of layer 0
+        self.gates = gates    # (N, 4h) activations of the top layer, gate order (i, f, o, g)
+        self.hid = hid        # (N, h) hidden rows of a lower layer
+
+
+def _dead(spare: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the dead buffer ``spare``, or a new
+    array when ``spare`` is too small for one."""
+    n = math.prod(shape)
+    if spare.size < n:
+        return np.empty(shape, spare.dtype)
+    return spare.reshape(-1)[:n].reshape(shape)
 
 
 def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
@@ -352,21 +380,23 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     With no step to run the cache is empty.
 
     All four gates share one ``tanh`` over the 4h block (see
-    :func:`_gate_layout`); the cache keeps the gates in that layout and
-    nothing else but X, which is layer 0's input and which the backward
-    overwrites.  The backward rebuilds the cell and hidden rows from the
-    gates.
+    :func:`_gate_layout`).  The cache keeps the top layer's gates in that
+    layout, each lower layer's hidden rows and X, which is layer 0's input
+    and which the backward overwrites.  The backward recomputes a lower
+    layer's gates from its input and hidden rows, and rebuilds every
+    layer's cell rows from its gates.
 
-    Layer i's gate rows come from ``work`` (a fresh :class:`Workspace`
-    when None) under key ``("gates", i)``, cached or not, so a cache stays
-    valid until the next call on the same workspace; ``need_cache`` only
-    decides whether the caches are returned.  h_last views ``work``'s key
-    ``"h_last"``.  The rows no cache keeps come from the buffer
-    ``shared`` (``work`` when None), which the backward may take as its
-    own: the hidden rows ``"h_rows"``, which every layer writes over the
-    rows of the layer below once its projection has read them, a rolling
-    (2, B, h) cell state ``"c_roll"`` and the recurrent projection
-    ``"rec"``.
+    The arrays come from ``work`` (a fresh :class:`Workspace` when None),
+    cached or not, so a cache stays valid until the next call on the same
+    workspace; ``need_cache`` only decides whether the caches are returned.
+    The top layer's gate rows are key ``("gates", top)``, and a lower
+    layer i's hidden rows key ``("hid", i)``.  A lower layer's gate rows
+    are the top layer's, which are dead until the top layer's input
+    projection (a new array when they are too small).  h_last views key
+    ``"h_last"``.  The rows no cache keeps come from the buffer ``shared``
+    (``work`` when None), which the backward may take as its own: the top
+    layer's hidden rows ``"h_rows"``, a rolling (2, B, h) cell state
+    ``"c_roll"`` and the recurrent projection ``"rec"``.
     """
     dtype = layers[0].w_x.values.dtype
     if X.dtype != dtype:
@@ -387,15 +417,19 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     caches: list[_LayerCache] = []
     half = dtype.type(0.5)   # a typed scalar skips a conversion per call
     N = pack.rows
+    top = len(layers) - 1
+    top_gates = work.take(("gates", top), (N, 4 * layers[top].hidden), dtype)
     inp = X
     for li, layer in enumerate(layers):
         h = layer.hidden
         order, scale = _gate_layout(h, dtype)
         w_h_t = _fused(layer.w_h.values, order, scale).T
-        gates = work.take(("gates", li), (N, 4 * h), dtype)
+        if li == top:
+            gates, out = top_gates, shared.take("h_rows", (N, h), dtype)
+        else:
+            gates, out = _dead(top_gates, (N, 4 * h)), work.take(("hid", li), (N, h), dtype)
         _row_blocked_matmul(inp, _fused(layer.w_x.values, order, scale).T, gates)
         gates += _fused(layer.b.values, order, scale[:, 0])
-        out = shared.take("h_rows", (N, h), dtype)
         c = shared.take("c_roll", (2, pack.bs[0], h), dtype)
         if pack.steps > 1:
             rec = shared.take("rec", (pack.bs[1], 4 * h), dtype)
@@ -417,11 +451,56 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
             np.tanh(ct, out=ot)
             ot *= z[:, 2 * h:3 * h]
         if need_cache:
-            caches.append(_LayerCache(X if li == 0 else None, gates))
+            caches.append(_LayerCache(X if li == 0 else None, gates if li == top else None,
+                                      None if li == top else out))
         inp = out
     np.take(inp, pack.last, axis=0, out=h_last, mode="clip")
     h_last[pack.last < 0] = 0.0   # an empty sample, whose clipped -1 read row 0
     return h_last, caches
+
+
+# Steps of at most this many rows run their own recurrent GEMM in the
+# recompute, as in the forward: for them OpenBLAS takes other paths (see the
+# module docstring; test_recomputed_gates_are_the_forward_gates checks it).
+_SMALL_STEP = 4
+
+
+def _recompute_gates(layer: LstmLayer, inp: np.ndarray, hid: np.ndarray, pack: Packing,
+                     gates: np.ndarray, work: Workspace) -> np.ndarray:
+    """A lower layer's (N, 4h) gate activations into ``gates``, from its
+    input rows ``inp`` and its own hidden rows ``hid``, with the forward's
+    operations in the forward's order: input projection, bias, recurrent
+    term, tanh, sigmoid half-scale.  The recurrent term of the steps of
+    more than ``_SMALL_STEP`` rows comes from row blocks of their h_prev
+    rows, gathered into ``work``'s ``"h_rows"``, through ``"rec"``."""
+    dtype = gates.dtype
+    h = layer.hidden
+    order, scale = _gate_layout(h, dtype)
+    _row_blocked_matmul(inp, _fused(layer.w_x.values, order, scale).T, gates)
+    gates += _fused(layer.b.values, order, scale[:, 0])
+    bs, off = pack.bs, pack.off
+    if len(bs) > 1:
+        w_h_t = _fused(layer.w_h.values, order, scale).T
+        small = next((t for t in range(1, len(bs)) if bs[t] <= _SMALL_STEP), len(bs))
+        B0, end = bs[0], off[small]   # steps 1 .. small-1 are rows B0 .. end
+        rec = work.take("rec", (max(bs[1], min(end - B0, _ROW_BLOCK)), 4 * h), dtype)
+        if end > B0:
+            prev = np.arange(B0, end) - np.repeat(np.array(bs[:small - 1], dtype=np.intp),
+                                                  bs[1:small])
+            h_prev = np.take(hid, prev, axis=0, out=work.take("h_rows", (end - B0, h), dtype),
+                             mode="clip")
+            for r in _blocks(end - B0, _ROW_BLOCK):
+                n = r.stop - r.start
+                gates[B0 + r.start:B0 + r.stop] += np.matmul(h_prev[r], w_h_t, out=rec[:n])
+        for t in range(small, len(bs)):
+            b, p = bs[t], off[t - 1]
+            gates[off[t]:off[t] + b] += np.matmul(hid[p:p + b], w_h_t, out=rec[:b])
+    np.tanh(gates, out=gates)
+    sig = gates[:, :3 * h]
+    half = dtype.type(0.5)
+    sig *= half
+    sig += half
+    return gates
 
 
 def _cell_rows(gates: np.ndarray, pack: Packing, c: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -445,14 +524,16 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
     the packed input rows X, written over X itself.
 
     Consumes ``caches``: each step's pre-activation gradient goes over its
-    gate rows once read.  The arrays come from ``work`` (a fresh
+    gate rows once read.  Layer by layer from the top, the gate rows are
+    the top layer's cached ones, then, once the top layer's gradients are
+    taken, each lower layer's gates recomputed over them
+    (:func:`_recompute_gates`).  The arrays come from ``work`` (a fresh
     :class:`Workspace` when None), which may be the forward's ``shared``:
     a layer's cell rows are rebuilt from its gates into ``"h_rows"``, and
     the time loop writes each step's hidden state over its cell state once
-    that is dead.  Those rows are the layer's h_prev, and the input of the
-    layer above, whose input weight gradient waits for them.  ``"d_rows"``
-    holds the gathered h_prev and then the gradient on the layer's input.
-    The per-step arrays take B rows.
+    that is dead; those rows are the layer's h_prev.  ``"d_rows"`` holds
+    the gathered h_prev and then the gradient on the layer's input.  The
+    per-step arrays take B rows.
     """
     dtype = layers[0].w_x.values.dtype
     if not pack.bs:
@@ -466,13 +547,19 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
     # earlier, bs[t-1] rows up
     later = slice(B0, N)
     prev = np.arange(B0, N) - np.repeat(np.array(pack.bs[:-1], dtype=np.intp), pack.bs[1:])
+    top = len(layers) - 1
     d_above = None  # gradient on the current layer's packed output rows
-    for li in range(len(layers) - 1, -1, -1):
+    for li in range(top, -1, -1):
         layer = layers[li]
-        gates = caches[li].gates
         h = layer.hidden
         order, _ = _gate_layout(h, dtype)
         w_h = layer.w_h.values[order]
+        inp = caches[li - 1].hid if li else caches[0].inp
+        if li == top:
+            gates = caches[top].gates
+        else:   # the top layer's gate rows are spent: recompute this layer's over them
+            gates = _recompute_gates(layer, inp, caches[li].hid, pack,
+                                     _dead(caches[top].gates, (N, 4 * h)), work)
         # per step: the gate gradients before the local derivatives, the
         # local derivatives of every gate, and tanh(c) then 1 - tanh(c)^2
         dzs = work.take("dz_step", (B0, 4 * h), dtype)
@@ -481,7 +568,7 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
         tmp = work.take("tmp", (B0, h), dtype)
         c = _cell_rows(gates, pack, work.take("h_rows", (N, h), dtype), tmp)
         dh = work.take("dh", (B0, h), dtype)
-        if li == len(layers) - 1:
+        if li == top:
             np.take(dh_last, order_b, axis=0, out=dh, mode="clip")
         else:
             dh.fill(0.0)
@@ -521,18 +608,13 @@ def lstm_batch_backward(caches: list[_LayerCache], layers: list[LstmLayer],
             if t:
                 np.matmul(dz, w_h, out=dht)
         DZ = gates   # every row now holds its step's pre-activation gradient
-        if li + 1 < len(layers):   # c holds the hidden rows that the layer above read
-            above = layers[li + 1]
-            _add_gate_rows(above.w_x.grad, caches[li + 1].gates.T @ c)
         h_prev = np.take(c, prev, axis=0, out=work.take("d_rows", (N - B0, h), dtype),
                          mode="clip")
         _add_gate_rows(layer.w_h.grad, DZ[later].T @ h_prev)
         _add_gate_rows(layer.b.grad, DZ.sum(axis=0))
-        if li == 0:   # layer 0's input rows, read for the last time here, take its gradient
-            _add_gate_rows(layer.w_x.grad, DZ.T @ caches[0].inp)
-            into = caches[0].inp
-        else:
-            into = work.take("d_rows", (N, layer.d_in), dtype)
+        _add_gate_rows(layer.w_x.grad, DZ.T @ inp)
+        # layer 0's input rows, read for the last time here, take its gradient
+        into = inp if li == 0 else work.take("d_rows", (N, layer.d_in), dtype)
         d_above = _row_blocked_matmul(DZ, layer.w_x.values[order], into)
     return d_above
 

@@ -20,18 +20,19 @@ Q-value per management action.
 Buffers: a :class:`QNetwork` and its copies (the trainer's target network,
 ``GreedyQ``'s snapshot, ``train``'s best net) form one family that
 owns the batch-sized arrays of their passes and reuses them from batch to
-batch: a workspace per branch, holding its packed token codes and its
-LSTM gate rows, and one for the head, which every forward runs in; and a
-scratch holding the one array of embedded rows that every branch's
-forward fills in turn, two arrays of the LSTM rows that no cache keeps
-(hidden, cell and gradient rows, which every branch's forward and
-backward share), and the backward's per-step arrays.  A cache from
-``forward_batch(..., need_cache=True)`` serves one
-:meth:`QNetwork.backward_batch` on its network, which embeds each
-branch's rows again from its codes just before that branch's LSTM
-backward and writes gradients over the cache, until the next forward on
-the family overwrites it; any other cache is refused.  Only the returned Q-values are new arrays.  Calls on
-one family must not run at the same time, which nothing in roommem does.
+batch: a workspace per branch, holding its packed token codes, its top
+LSTM layer's gate rows and its lower layer's hidden rows, and one for
+the head, which every forward runs in; and a scratch holding the one
+array of embedded rows that every branch's forward fills in turn, two
+arrays of the LSTM rows that no cache keeps (hidden, cell and gradient
+rows, which every branch's forward and backward share), and the
+backward's per-step arrays.  A cache from ``forward_batch(...,
+need_cache=True)`` serves one :meth:`QNetwork.backward_batch` on its
+network, which embeds each branch's rows again from its codes just
+before that branch's LSTM backward and writes gradients over the cache,
+until the next forward on the family overwrites it; any other cache is
+refused.  Only the returned Q-values are new arrays.  Calls on one
+family must not run at the same time, which nothing in roommem does.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ from .nn import (
     ParamTensor,
     Packing,
     Workspace,
+    _dead,
     init_uniform,
     linear_backward,
     linear_forward,
@@ -202,15 +204,6 @@ def _pack_codes(seqs: list[np.ndarray], pad: int,
     return out, pack
 
 
-def _dead(spare: np.ndarray, shape) -> np.ndarray:
-    """A C-contiguous ``shape`` view of the dead buffer ``spare``, or a new
-    array when ``spare`` is too small for one."""
-    n = int(np.prod(shape))
-    if spare.size < n:
-        return np.empty(shape, spare.dtype)
-    return spare.reshape(-1)[:n].reshape(shape)
-
-
 def _embed(table: np.ndarray, codes: np.ndarray, out: np.ndarray,
            spare: np.ndarray) -> np.ndarray:
     """(N, 3) codes -> (N, 2*d) rows laid out head | tail, in ``out``.  The
@@ -261,15 +254,18 @@ def _embedding_grad(codes: np.ndarray, pack: Packing, dX: np.ndarray,
 @dataclass
 class _Buffers:
     """A network family's workspaces, and (network, cache) of its one intact
-    cache.  Per branch: ``"codes"``, the LSTM's ``("gates", i)`` rows,
-    ``"h_last"`` and ``"relu_mask"``; the head: ``"cat"``, ``"a1"``,
-    ``"relu_mask"``; the scratch: ``"rows"``, the embedded input rows of
-    the branch that ran last, the LSTM's ``"h_rows"`` (the forward's
-    hidden rows, the backward's cell and hidden rows) and the backward's
-    ``"d_rows"``, and arrays of B rows for the forward's ``"z"``,
-    ``"c_roll"`` and ``"rec"`` and for the backward.  Each branch also
-    keeps layer 0's head | tail input weight ``"w_x0"`` and its gradient
-    ``"w_x0.grad"`` (see :meth:`QNetwork._head_tail_lstm`)."""
+    cache.  Per branch: ``"codes"``; the LSTM's ``("gates", 1)``, the top
+    layer's (N, 4h) gate rows, which also hold layer 0's gates while they
+    are worked on; ``("hid", 0)``, layer 0's (N, h) hidden rows;
+    ``"h_last"`` and ``"relu_mask"``.  The head: ``"cat"``, ``"a1"``,
+    ``"relu_mask"``.  The scratch: ``"rows"``, the embedded input rows of
+    the branch that ran last; the LSTM's ``"h_rows"`` (the forward's top
+    layer hidden rows, the backward's cell and hidden rows and the
+    recompute's gathered h_prev) and the backward's ``"d_rows"``; arrays
+    of B rows for the forward's ``"z"``, ``"c_roll"`` and ``"rec"`` (also
+    the recompute's blocks, up to 1,024 rows) and for the backward.  Each
+    branch also keeps layer 0's head | tail input weight ``"w_x0"`` and
+    its gradient ``"w_x0.grad"`` (see :meth:`QNetwork._head_tail_lstm`)."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
@@ -325,6 +321,7 @@ class QNetwork:
         self.d_emb = self.embedding.values.shape[1]
         self.hidden = self.head_w2.values.shape[1]
         self._buffers = _Buffers()
+        self._fixed_lstm = None   # a snapshot's head | tail LSTMs, built once
 
     @classmethod
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
@@ -358,14 +355,31 @@ class QNetwork:
 
     def snapshot(self) -> "QNetwork":
         """Read-only copies of the parameter arrays, for forwards only: every
-        gradient is a read-only view of one shared zero."""
+        gradient is a read-only view of one shared zero, and each branch's
+        head | tail LSTM (:meth:`_head_tail_lstm`) is built once, in arrays
+        of the snapshot's own."""
+        snap = self._gradless(writeable=False)
+        fixed = {}
+        for kind, branch in snap.branches.items():
+            w_x = branch.lstm[0].w_x.values
+            shape = (w_x.shape[0], 2 * self.d_emb)
+            fixed[kind] = snap._head_tail_lstm(kind, np.empty(shape, w_x.dtype),
+                                               np.broadcast_to(w_x.dtype.type(0), shape))
+            fixed[kind][0].w_x.values.flags.writeable = False
+        snap._fixed_lstm = fixed
+        return snap
+
+    def _gradless(self, writeable: bool) -> "QNetwork":
+        """Copies of the parameter arrays, read-only unless ``writeable``,
+        whose gradients are read-only views of one shared zero: for a
+        network that never runs a backward, such as ``train``'s target."""
         zero = np.zeros((), self.embedding.values.dtype)
 
-        def frozen(p: ParamTensor) -> ParamTensor:
+        def copy(p: ParamTensor) -> ParamTensor:
             values = p.values.copy()
-            values.flags.writeable = False
+            values.flags.writeable = writeable
             return ParamTensor(values, np.broadcast_to(zero, values.shape), p.name)
-        return self._copy(frozen)
+        return self._copy(copy)
 
     def copy_values_from(self, other: "QNetwork") -> None:
         """Overwrite every parameter with ``other``'s; a tensor whose shape
@@ -378,19 +392,24 @@ class QNetwork:
         for p, q in pairs:
             p.values[...] = q.values
 
-    def _head_tail_lstm(self, kind: str) -> list[LstmLayer]:
+    def _head_tail_lstm(self, kind: str, head_tail=None, grad=None) -> list[LstmLayer]:
         """Branch ``kind``'s LSTM as the kernel runs it on head | tail rows:
         layer 0's w_x is the head and tail column blocks of its (4h, 3*d_emb)
-        parameter, copied into the branch's ``"w_x0"``, with the gradient
-        ``"w_x0.grad"``, which :meth:`backward_batch` zeroes before the
-        kernel accumulates into it and then adds into the parameter's."""
+        parameter, copied into ``head_tail`` with the gradient ``grad``.  A
+        snapshot returns the LSTMs it built once; any other network copies
+        into the branch's ``"w_x0"``, with the gradient ``"w_x0.grad"``,
+        which :meth:`backward_batch` zeroes before the kernel accumulates
+        into it and then adds into the parameter's."""
+        if self._fixed_lstm is not None:
+            return self._fixed_lstm[kind]
         first, *above = self.branches[kind].lstm
         w_x, d = first.w_x.values, self.d_emb
-        work = self._buffers.work[kind]
-        head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
+        if head_tail is None:
+            work = self._buffers.work[kind]
+            head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
+            grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
         head_tail[:, :d] = w_x[:, :d]
         head_tail[:, d:] = w_x[:, 2 * d:]
-        grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
         return [LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
                 *above]
 
@@ -465,8 +484,8 @@ class QNetwork:
         codes, pack = _pack_codes(seqs, table.shape[0] - 1, work)
         branch = self.branches[kind]
         lstm = self._head_tail_lstm(kind)
-        # layer 0's gate rows are dead until its input projection
-        gates = work.take(("gates", 0), (pack.rows, 4 * h), table.dtype)
+        # the top layer's gate rows are dead until layer 0's input projection
+        gates = work.take(("gates", len(lstm) - 1), (pack.rows, 4 * h), table.dtype)
         rows = _embed(table, codes, scratch.take("rows", (pack.rows, 2 * self.d_emb),
                                                  table.dtype), gates)
         h_last, lstm_caches = lstm_batch_forward(rows, pack, lstm, need_cache=need_cache,
@@ -513,9 +532,9 @@ class QNetwork:
             w_x, head_tail = branch.lstm[0].w_x.grad, lstm[0].w_x.grad
             w_x[:, :d] += head_tail[:, :d]
             w_x[:, 2 * d:] += head_tail[:, d:]
-            # layer 0's gate rows are dead once the LSTM backward returns
+            # the top layer's gate rows are dead once the LSTM backward returns
             self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1,
-                                                   lstm_caches[0].gates)[:V]
+                                                   lstm_caches[-1].gates)[:V]
 
     # -- persistence ---------------------------------------------------------
 

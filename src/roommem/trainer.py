@@ -175,7 +175,7 @@ def td_loss(batch: list[Transition], online: QNetwork, target: QNetwork,
             gamma: float) -> float:
     """Mean Huber TD error over the batch; accumulates gradients into the
     online network only.  Terminal transitions bootstrap nothing.  The
-    target forward runs first: a target made by ``online.clone()`` shares
+    target forward runs first: a target copied from ``online`` shares
     the online buffers, so a later one would overwrite the online cache."""
     if not batch:
         raise ValueError("empty batch")
@@ -276,7 +276,7 @@ def train(env_config: EnvConfig, variant: str, capacities: tuple[int, int],
 
     online = QNetwork.create(vocab, derive_seed(seed, ROLE_PARAMS), d_emb=tc.d_emb,
                              hidden=tc.hidden, n_layers=tc.n_layers, dtype=tc.dtype)
-    target = online.clone()
+    target = online._gradless(writeable=True)   # values for copy_values_from, no gradients
     optimizer = Adam(online.parameters(), lr=tc.lr)
     replay = ReplayBuffer(tc.replay_size, derive_rng(seed, ROLE_REPLAY))
 

@@ -23,7 +23,8 @@ from roommem.nn import (
     sigmoid,
 )
 
-from roommem.nn import _cell_rows, _gate_layout, _row_blocked_matmul
+from roommem import nn
+from roommem.nn import _cell_rows, _gate_layout, _recompute_gates, _row_blocked_matmul
 
 from .oracles import fd_gradient, masked_lstm_backward, masked_lstm_forward, max_relative_error
 
@@ -324,15 +325,17 @@ def _check_kernel_against_masked_reference(dtype, widths):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("widths", [(5, 6), (5, 6, 6), (5, 6, 3)],
                          ids=["one_layer", "two_layers", "narrower_upper"])
-def test_backward_rebuilds_the_forward_cell_and_hidden_rows(dtype, widths):
-    """The cache keeps only gate rows; the backward rebuilds each layer's
-    cell and hidden rows from them, and training stays bit-identical only
-    if every rebuilt row has the forward's bits.  The forward's rows are
-    read where it leaves them: the forward of the first t steps leaves
-    step t-1's cell state in its rolling buffer, and a stack's forward
-    leaves its top layer's hidden rows.  The backward's rebuilt hidden
-    rows are what its weight gradients multiply: h_prev for w_h, and the
-    layer below's rows for an upper layer's w_x."""
+def test_backward_rebuilds_the_forward_cell_and_hidden_rows(dtype, widths, monkeypatch):
+    """The cache keeps the top layer's gate rows and each lower layer's
+    hidden rows.  The backward recomputes a lower layer's gates from its
+    input and hidden rows and rebuilds each layer's cell rows from its
+    gates, and training stays bit-identical only if every such row has
+    the forward's bits.  The forward's rows are read where it leaves them:
+    the forward of the first t steps leaves step t-1's cell state in its
+    rolling buffer, and a stack's forward leaves its top layer's hidden
+    rows.  The hidden rows the backward has, rebuilt for the top layer and
+    cached below it, are what its weight gradients multiply: h_prev for
+    w_h, and the layer below's rows for an upper layer's w_x."""
     rng = np.random.default_rng(17)
     B, T = 9, 6
     layers = [LstmLayer.create(rng, a, b, dtype, f"l{i}")
@@ -360,13 +363,33 @@ def test_backward_rebuilds_the_forward_cell_and_hidden_rows(dtype, widths):
 
     work = Workspace()
     _, caches = lstm_batch_forward(_packed(X, pack), pack, layers, need_cache=True, work=work)
-    for cache, layer, want in zip(caches, layers, cells):
+    top = len(layers) - 1
+    for li, (cache, layer, want) in enumerate(zip(caches, layers, cells)):
         h = layer.hidden
-        c = _cell_rows(cache.gates, pack, np.empty((pack.rows, h), dtype), np.empty((B, h), dtype))
+        if li < top:
+            assert np.array_equal(cache.hid, hidden[li][pack.pos]), layer.w_x.name
+            inp = caches[li - 1].hid if li else cache.inp
+            gates = _recompute_gates(layer, inp, cache.hid, pack,
+                                     np.empty((pack.rows, 4 * h), dtype), Workspace())
+        else:
+            gates = cache.gates
+        c = _cell_rows(gates, pack, np.empty((pack.rows, h), dtype), np.empty((B, h), dtype))
         assert np.array_equal(c, want[pack.pos]), layer.w_x.name
-    dz = [cache.gates for cache in caches]   # each step's gate gradients, after the backward
+
+    # each layer's gate gradients, as the backward multiplies them into the
+    # gradient on its input: the only GEMMs whose output is narrower than
+    # their input
+    dz = []
+    inner = nn._row_blocked_matmul
+
+    def recorded(a, b, out):
+        if out.shape[1] < a.shape[1]:
+            dz.insert(0, a.copy())
+        return inner(a, b, out)
+    monkeypatch.setattr(nn, "_row_blocked_matmul", recorded)
     dh = rng.normal(size=(B, widths[-1])).astype(dtype)
     lstm_batch_backward(caches, layers, pack, dh, work=work)
+    assert len(dz) == len(layers)
     B0 = pack.bs[0]
     for li, layer in enumerate(layers):
         order = _gate_layout(layer.hidden, np.dtype(dtype))[0]
@@ -375,6 +398,38 @@ def test_backward_rebuilds_the_forward_cell_and_hidden_rows(dtype, widths):
         if li:
             below = hidden[li - 1][pack.pos]
             assert np.array_equal(layer.w_x.grad[order], dz[li].T @ below), layer.w_x.name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("widths", [(64, 64, 64, 64), (5, 6, 3)],
+                         ids=["three_layers", "narrower_upper"])
+def test_recomputed_gates_are_the_forward_gates(dtype, widths):
+    """The backward recomputes each lower layer's gates, and its cell rows,
+    time loop and gradients have the forward's bits only if these gates
+    do.  Layer k's forward gates are the top layer's gate cache of the
+    stack's first k + 1 layers.  Both packings have steps of every row
+    count from 1 to 4 beside taller ones, and the tall one's steps of 5 or
+    more rows span several row blocks: the recompute takes their recurrent
+    term from blocks of up to 1,024 rows where the forward ran one GEMM
+    per step, which gives the same bits only if a GEMM's rows do not
+    depend on its height from 5 rows on.  A BLAS that breaks that, or
+    runs a taller path for 4 rows or fewer, fails here."""
+    rng = np.random.default_rng(19)
+    layers = [LstmLayer.create(rng, a, b, dtype, f"l{i}")
+              for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    tall = np.concatenate([np.arange(37, 41), rng.integers(0, 37, size=400)])
+    small = np.array([6, 10, 6, 9, 6, 0, 8, 6, 7, 6, 6])
+    for lengths in (tall, small):
+        pack = Packing(lengths)
+        assert {1, 2, 3, 4} <= set(pack.bs) and pack.bs[1] > 4
+        X = rng.normal(size=(pack.rows, widths[0])).astype(dtype)
+        _, caches = lstm_batch_forward(X, pack, layers, need_cache=True)
+        for k, layer in enumerate(layers[:-1]):
+            _, want = lstm_batch_forward(X, pack, layers[:k + 1], need_cache=True)
+            inp = caches[k - 1].hid if k else X
+            gates = np.full((pack.rows, 4 * layer.hidden), np.nan, dtype)
+            assert _recompute_gates(layer, inp, caches[k].hid, pack, gates, Workspace()) is gates
+            assert np.array_equal(gates, want[-1].gates), (len(lengths), k)
 
 
 def test_packing_rejects_bad_lengths():
@@ -418,12 +473,14 @@ def test_single_sequence_helpers_leave_the_sequence_alone(dtype):
 
 def test_layer_cache_is_smaller_than_the_masked_layout():
     """The masked kernel kept eight (T, B, h) arrays per layer (i, f, g, o,
-    candidate cell, its tanh, h_prev, c_prev).  The packed cache is each
-    layer's gate rows only, over live rows, plus the caller's input rows
-    for layer 0, so even a batch with no padding at all needs fewer bytes."""
+    candidate cell, its tanh, h_prev, c_prev).  The packed cache holds,
+    over live rows only, the top layer's gate rows, each lower layer's
+    hidden rows, and the caller's input rows for layer 0, so even a batch
+    with no padding at all needs fewer bytes: half the masked layout for
+    the top layer, an eighth for a layer below it."""
     rng = np.random.default_rng(14)
     T, B, d_in, hidden = 6, 5, 3, 4
-    layers = make_lstm_stack(rng, d_in, hidden, 2)
+    layers = make_lstm_stack(rng, d_in, hidden, 3)
     X = rng.normal(size=(T, B, d_in))
     for lengths in (np.full(B, T), np.array([6, 1, 0, 3, 2])):
         pack = Packing(lengths)
@@ -432,10 +489,16 @@ def test_layer_cache_is_smaller_than_the_masked_layout():
         masked = 8 * T * B * hidden * X.itemsize
         assert caches[0].inp is rows
         for li, cache in enumerate(caches):
-            assert cache.__slots__ == ("inp", "gates")
+            assert cache.__slots__ == ("inp", "gates", "hid")
             assert li == 0 or cache.inp is None
-            assert cache.gates.nbytes <= masked // 2
-            assert cache.gates.shape == (lengths.sum(), 4 * hidden)
+            if li == len(layers) - 1:
+                assert cache.hid is None
+                assert cache.gates.nbytes <= masked // 2
+                assert cache.gates.shape == (lengths.sum(), 4 * hidden)
+            else:
+                assert cache.gates is None
+                assert cache.hid.nbytes <= masked // 8
+                assert cache.hid.shape == (lengths.sum(), hidden)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

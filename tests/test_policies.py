@@ -310,7 +310,8 @@ def test_greedy_q_decides_on_a_frozen_snapshot(tiny_env):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_greedy_q_snapshot_holds_no_gradient_memory(tiny_env, dtype):
-    """The snapshot copies the parameter values and nothing else: every
+    """The snapshot copies the parameter values and each branch's head |
+    tail layer-0 weight, which its forwards reuse, and nothing else: every
     gradient is a zero that refuses writes, backed by no per-parameter
     array."""
     vocab, _ = build_vocabulary(tiny_env)
@@ -323,7 +324,11 @@ def test_greedy_q_snapshot_holds_no_gradient_memory(tiny_env, dtype):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 1.1 * values_bytes, (held, values_bytes)
+    head_tail = [policy.net._head_tail_lstm(kind)[0].w_x for kind in (SHORT_TERM, EPISODIC,
+                                                                      SEMANTIC)]
+    assert all(w.values.shape == (4 * 64, 2 * 32) and not any(w.grad.strides) for w in head_tail)
+    head_tail_bytes = sum(w.values.nbytes for w in head_tail)
+    assert held < 1.1 * values_bytes + head_tail_bytes, (held, values_bytes, head_tail_bytes)
     grads = [p.grad for p in policy.net.parameters()]
     for p, want in zip(policy.net.parameters(), net.parameters(), strict=True):
         assert p.name == want.name and np.array_equal(p.values, want.values)

@@ -454,9 +454,9 @@ def test_a_td_step_holds_the_online_rows_and_per_step_gate_gradients():
     """After a warm td_loss, a network family whose target is a clone holds
     the buffers of a lone network's cached forward and backward on the
     same states: the target forward runs in the online rows.  And no
-    buffer outside the branches is as large as a layer's gate rows: the
-    backward writes each step's gate gradients over the gates it has
-    read."""
+    buffer outside the branches is as large as the top layer's gate rows:
+    the backward writes each step's gate gradients over the gates it has
+    read, and recomputes the lower layer's gates over the top layer's."""
     online = _desk_like_net()
     target = online.clone()
     batch = [dataclasses.replace(t, enc_next=t.enc_state)
@@ -470,17 +470,19 @@ def test_a_td_step_holds_the_online_rows_and_per_step_gate_gradients():
     assert _family_bytes(online) == _family_bytes(lone)
 
     buffers = online._buffers
-    gates = max(buffers.work[kind]._flat[("gates", 0)].nbytes for kind in BRANCHES)
+    gates = max(buffers.work[kind]._flat[("gates", 1)].nbytes for kind in BRANCHES)
     assert max(a.nbytes for a in buffers.scratch._flat.values()) < gates
 
 
 def test_a_td_step_keeps_only_its_lstm_cache():
     """After a td_loss at a small fp64 shape (B=64, up to 8 entries per
     long-term system), every branch workspace array of more than B*4h
-    elements is a layer's gate rows or the branch's packed codes, and the
-    scratch holds the one rows array that every branch embeds into plus
-    at most two arrays of (N, h) rows: no padded embeddings, no packed
-    copy of them, no cell or hidden rows kept beside the gates, and no
+    elements is the top layer's gate rows, the lower layer's (N, h)
+    hidden rows or the branch's packed codes, and the scratch holds the
+    one rows array that every branch embeds into, at most two arrays of
+    (N, h) rows, and the block of the recomputed recurrent term, at most
+    (N - B) * 4h: no padded embeddings, no packed copy of them, no gate
+    rows of the lower layer, no cell rows kept beside the gates, and no
     backward array of one row per step."""
     online = _desk_like_net(np.float64)
     target = online.clone()
@@ -489,17 +491,20 @@ def test_a_td_step_keeps_only_its_lstm_cache():
     td_loss(batch, online, target, 0.65)
     buffers = online._buffers
     h = online.hidden
-    gates = set()
-    for kind in BRANCHES:
-        big = {key for key, a in buffers.work[kind]._flat.items() if a.size > B * 4 * h}
-        assert big - {"codes"} <= {("gates", i) for i in range(2)}, (kind, big)
-        gates |= big - {"codes"}
-    assert gates == {("gates", 0), ("gates", 1)}
     N = max(sum(enc[bi].shape[0] for enc in encs)
             for encs in ([t.enc_state for t in batch], [t.enc_next for t in batch])
             for bi in range(len(BRANCHES)))
+    kept = set()
+    for kind in BRANCHES:
+        work = buffers.work[kind]._flat
+        big = {key for key, a in work.items() if a.size > B * 4 * h}
+        assert big - {"codes"} <= {("gates", 1), ("hid", 0)}, (kind, big)
+        assert work[("hid", 0)].size <= N * h
+        kept |= big - {"codes"}
+    assert kept == {("gates", 1), ("hid", 0)}
     big = {key: a.size for key, a in buffers.scratch._flat.items() if a.size > B * 4 * h}
     assert "rows" in big
+    assert big.pop("rec", 0) <= (N - B) * 4 * h
     rows = {key: size for key, size in big.items() if key != "rows"}
     assert len(rows) <= 2 and all(size <= N * h for size in rows.values()), rows
 
@@ -568,12 +573,13 @@ def test_embedding_gradient_sums_in_padded_order(vocab, monkeypatch, dtype):
 
 
 def test_embedding_gradient_of_rows_wider_than_the_gate_rows(vocab, monkeypatch):
-    """With 3 * d_emb > 4 * hidden (and 2 * d_emb too), layer 0's gate rows
-    cannot hold the embedding's gather in the forward, nor the input
-    gradient's columns once spent, which then get arrays of their own."""
+    """With 3 * d_emb > 4 * hidden (and 2 * d_emb too), the top layer's
+    gate rows cannot hold the embedding's gather in the forward, nor the
+    input gradient's columns once spent, which then get arrays of their
+    own."""
     net, packs = _check_embedding_gradient(vocab, monkeypatch, np.float64, d_emb=9, hidden=2)
     for kind, pack in zip(BRANCHES, packs):   # no gather grew the gate rows
-        assert net._buffers.work[kind]._flat[("gates", 0)].size == pack.rows * 4 * 2
+        assert net._buffers.work[kind]._flat[("gates", 1)].size == pack.rows * 4 * 2
 
 
 def _check_embedding_gradient(vocab, monkeypatch, dtype, d_emb, hidden):
@@ -692,6 +698,32 @@ def test_clone_and_copy_values(vocab, net):
     assert not np.allclose(other.forward(st), net.forward(st))
     other.copy_values_from(net)
     assert np.allclose(other.forward(st), net.forward(st))
+
+
+def test_a_snapshot_builds_its_head_tail_lstm_once(vocab, net):
+    """A snapshot's weights never change, so it builds each branch's head |
+    tail layer-0 weight once, read-only and in an array of its own, and
+    its forwards reuse it: they copy nothing into the family's ``"w_x0"``,
+    and give the network's Q-values bit for bit, also after a forward of
+    the network rewrote ``"w_x0"``."""
+    states = [state_of(short=[epi("Ann", "bowl", "desk", 0)],
+                       episodic=[epi("Bob", "mug", "lap", 1), epi("Cam", "bowl", "bed", 3)],
+                       semantic=[sem("bowl", "desk", 2), sem("mug", "lap", 4)]),
+              state_of(episodic=[epi("Ann", "mug", "bed", 2)])]
+    snap = net.snapshot()
+    built = {kind: snap._head_tail_lstm(kind) for kind in BRANCHES}
+    q = snap.forward_states(states)
+    d = net.d_emb
+    for kind in BRANCHES:
+        assert "w_x0" not in net._buffers.work[kind]._flat, kind
+        lstm = snap._head_tail_lstm(kind)
+        assert lstm is built[kind]
+        w_x = snap.branches[kind].lstm[0].w_x.values
+        assert np.array_equal(lstm[0].w_x.values, np.delete(w_x, np.s_[d:2 * d], axis=1))
+        assert not lstm[0].w_x.values.flags.writeable
+        assert lstm[1:] == snap.branches[kind].lstm[1:]
+    assert np.array_equal(q, net.forward_states(states))
+    assert np.array_equal(snap.forward_states(states), q)
 
 
 def test_copy_values_from_rejects_a_dtype_mismatch(vocab):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from roommem.nn import huber_loss
 from roommem.policies import EpisodicOnly, run_episode
 from roommem.qnet import QNetwork, Vocabulary, encode_state
 from roommem.seeding import derive_rng
+from roommem import trainer
 from roommem.trainer import (
     EpochLog,
     ReplayBuffer,
@@ -306,6 +308,40 @@ def test_train_is_deterministic_apart_from_wall_time(tiny_env):
     assert r1.best_epoch == r2.best_epoch
     for p, q in zip(r1.net.parameters(), r2.net.parameters()):
         assert np.array_equal(p.values, q.values)
+
+
+def test_train_target_holds_no_gradients_and_changes_no_result(tiny_env, monkeypatch):
+    """train's target network runs forwards only: every gradient of it is a
+    read-only view of one shared zero, while its values stay writeable for
+    the sync.  Training with it gives the EpochLogs, best epoch and
+    parameter SHA-256 of a target cloned with zeroed gradients of its own."""
+    targets = []
+    inner = trainer.td_loss
+
+    def recorded(batch, online, target, gamma):
+        targets.append(target)
+        return inner(batch, online, target, gamma)
+    monkeypatch.setattr(trainer, "td_loss", recorded)
+    tc = micro_train_config(sync_every=4)
+
+    def run():
+        targets.clear()
+        result = train(tiny_env, "scratch", (2, 2), tc, seed=5)
+        digest = hashlib.sha256(b"".join(p.values.tobytes() for p in result.net.parameters()))
+        assert targets and all(t is targets[0] for t in targets)
+        return ([dataclasses.replace(e, wall_seconds=0.0) for e in result.epochs],
+                result.best_epoch, digest.hexdigest()), targets[0]
+
+    got, target = run()
+    for p in target.parameters():
+        assert p.values.flags.writeable
+        assert not p.grad.flags.writeable and not any(p.grad.strides)
+    gradless = QNetwork._gradless
+    monkeypatch.setattr(QNetwork, "_gradless", lambda net, writeable: (
+        net.clone() if writeable else gradless(net, writeable)))
+    want, target = run()
+    assert all(p.grad.flags.writeable for p in target.parameters())   # the clone's
+    assert got == want
 
 
 def test_train_seed_changes_outcome(tiny_env):
