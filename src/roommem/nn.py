@@ -29,23 +29,21 @@ done with it, from the layer's input and hidden rows, and rebuilds each
 layer's cell rows (the top layer's hidden rows too) from its gates, all
 with the forward's own operations in the forward's order, so every row
 has the forward's bits: the memory-efficient backpropagation through
-time of Gruslys et al. 2016.  The recompute takes the recurrent term of
-all steps of 5 or more rows from a few tall GEMMs over their gathered
-h_prev rows, where the forward ran one GEMM per step.  That gives the
-same bits because each row of an OpenBLAS GEMM of 5 or more rows is the
-same dot products whatever the height; for 4 rows or fewer it takes
-other paths, so those steps run alone, as in the forward.  Each array is
-overwritten once its last read is done, as in-place activated BatchNorm
-does (Rota Bulò et al. 2018): the gate rows take the gate gradients, a
-layer's rebuilt cell rows its hidden rows, and the input rows the
-returned input gradient.  :class:`Adam` keeps its own.
+time of Gruslys et al. 2016.  The recompute calls the forward's GEMMs on
+the forward's operands, the input projection in the same row blocks and
+one recurrent GEMM per step, so it needs nothing of the BLAS but that a
+call repeats its bits.  Each array is overwritten once its last read is
+done, as in-place activated BatchNorm does (Rota Bulò et al. 2018): the
+gate rows take the gate gradients, a layer's rebuilt cell rows its
+hidden rows, and the input rows the returned input gradient.
+:class:`Adam` keeps its own.
 
-Row blocks: a GEMM over all N packed rows, the input projection, the
-gradient on a layer's input and the recompute's recurrent term, runs in
-near-equal blocks of at most ``_ROW_BLOCK`` rows.  OpenBLAS grows its
-per-thread packing buffers with a GEMM's row count and keeps them for
-the life of the process, so one whole-height GEMM at the paper shape
-would hold them at its size for good.  Each output row is the same dot products whatever the block
+Row blocks: a GEMM over all N packed rows, the input projection and the
+gradient on a layer's input, runs in near-equal blocks of at most
+``_ROW_BLOCK`` rows.  OpenBLAS grows its per-thread packing buffers with
+a GEMM's row count and keeps them for the life of the process, so one
+whole-height GEMM at the paper shape would hold them at its size for
+good.  Each output row is the same dot products whatever the block
 height, so the blocks give the whole GEMM's bits (no block is a small
 remainder, for which BLAS takes other paths); the weight gradients, whose
 sums run over the N rows, stay whole.
@@ -316,16 +314,13 @@ def _gate_layout(h: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 _ROW_BLOCK = 1024
 
 
-def _blocks(n: int, most: int) -> list[slice]:
-    """``range(n)`` as near-equal slices of at most ``most`` rows."""
-    k = max(1, -(-n // most))
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-
-
 def _row_blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ b`` into ``out``, in near-equal blocks of at most
     ``_ROW_BLOCK`` rows of ``a``."""
-    for r in _blocks(a.shape[0], _ROW_BLOCK):
+    n = a.shape[0]
+    blocks = max(1, -(-n // _ROW_BLOCK))
+    for k in range(blocks):
+        r = slice(n * k // blocks, n * (k + 1) // blocks)
         np.matmul(a[r], b, out=out[r])
     return out
 
@@ -459,20 +454,13 @@ def lstm_batch_forward(X: np.ndarray, pack: Packing, layers: list[LstmLayer],
     return h_last, caches
 
 
-# Steps of at most this many rows run their own recurrent GEMM in the
-# recompute, as in the forward: for them OpenBLAS takes other paths (see the
-# module docstring; test_recomputed_gates_are_the_forward_gates checks it).
-_SMALL_STEP = 4
-
-
 def _recompute_gates(layer: LstmLayer, inp: np.ndarray, hid: np.ndarray, pack: Packing,
                      gates: np.ndarray, work: Workspace) -> np.ndarray:
     """A lower layer's (N, 4h) gate activations into ``gates``, from its
     input rows ``inp`` and its own hidden rows ``hid``, with the forward's
-    operations in the forward's order: input projection, bias, recurrent
-    term, tanh, sigmoid half-scale.  The recurrent term of the steps of
-    more than ``_SMALL_STEP`` rows comes from row blocks of their h_prev
-    rows, gathered into ``work``'s ``"h_rows"``, through ``"rec"``."""
+    operations in the forward's order: input projection, bias, one
+    recurrent GEMM per step through ``work``'s ``"rec"``, tanh, sigmoid
+    half-scale."""
     dtype = gates.dtype
     h = layer.hidden
     order, scale = _gate_layout(h, dtype)
@@ -481,18 +469,8 @@ def _recompute_gates(layer: LstmLayer, inp: np.ndarray, hid: np.ndarray, pack: P
     bs, off = pack.bs, pack.off
     if len(bs) > 1:
         w_h_t = _fused(layer.w_h.values, order, scale).T
-        small = next((t for t in range(1, len(bs)) if bs[t] <= _SMALL_STEP), len(bs))
-        B0, end = bs[0], off[small]   # steps 1 .. small-1 are rows B0 .. end
-        rec = work.take("rec", (max(bs[1], min(end - B0, _ROW_BLOCK)), 4 * h), dtype)
-        if end > B0:
-            prev = np.arange(B0, end) - np.repeat(np.array(bs[:small - 1], dtype=np.intp),
-                                                  bs[1:small])
-            h_prev = np.take(hid, prev, axis=0, out=work.take("h_rows", (end - B0, h), dtype),
-                             mode="clip")
-            for r in _blocks(end - B0, _ROW_BLOCK):
-                n = r.stop - r.start
-                gates[B0 + r.start:B0 + r.stop] += np.matmul(h_prev[r], w_h_t, out=rec[:n])
-        for t in range(small, len(bs)):
+        rec = work.take("rec", (bs[1], 4 * h), dtype)
+        for t in range(1, len(bs)):
             b, p = bs[t], off[t - 1]
             gates[off[t]:off[t] + b] += np.matmul(hid[p:p + b], w_h_t, out=rec[:b])
     np.tanh(gates, out=gates)

@@ -260,12 +260,12 @@ class _Buffers:
     ``"h_last"`` and ``"relu_mask"``.  The head: ``"cat"``, ``"a1"``,
     ``"relu_mask"``.  The scratch: ``"rows"``, the embedded input rows of
     the branch that ran last; the LSTM's ``"h_rows"`` (the forward's top
-    layer hidden rows, the backward's cell and hidden rows and the
-    recompute's gathered h_prev) and the backward's ``"d_rows"``; arrays
-    of B rows for the forward's ``"z"``, ``"c_roll"`` and ``"rec"`` (also
-    the recompute's blocks, up to 1,024 rows) and for the backward.  Each
-    branch also keeps layer 0's head | tail input weight ``"w_x0"`` and
-    its gradient ``"w_x0.grad"`` (see :meth:`QNetwork._head_tail_lstm`)."""
+    layer hidden rows, the backward's cell and hidden rows) and the
+    backward's ``"d_rows"``; arrays of B rows for the forward's ``"z"``,
+    ``"c_roll"`` and ``"rec"`` (also the recompute's) and for the
+    backward.  Each branch also keeps layer 0's head | tail input weight
+    ``"w_x0"`` and its gradient ``"w_x0.grad"`` (see
+    :meth:`QNetwork._head_tail_lstm`)."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
@@ -359,14 +359,17 @@ class QNetwork:
         head | tail LSTM (:meth:`_head_tail_lstm`) is built once, in arrays
         of the snapshot's own."""
         snap = self._gradless(writeable=False)
-        fixed = {}
+        d = self.d_emb
+        snap._fixed_lstm = {}
         for kind, branch in snap.branches.items():
-            w_x = branch.lstm[0].w_x.values
-            shape = (w_x.shape[0], 2 * self.d_emb)
-            fixed[kind] = snap._head_tail_lstm(kind, np.empty(shape, w_x.dtype),
-                                               np.broadcast_to(w_x.dtype.type(0), shape))
-            fixed[kind][0].w_x.values.flags.writeable = False
-        snap._fixed_lstm = fixed
+            first, *above = branch.lstm
+            w_x = first.w_x.values
+            head_tail = np.concatenate([w_x[:, :d], w_x[:, 2 * d:]], axis=1)
+            head_tail.flags.writeable = False
+            grad = np.broadcast_to(w_x.dtype.type(0), head_tail.shape)
+            snap._fixed_lstm[kind] = [
+                LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
+                *above]
         return snap
 
     def _gradless(self, writeable: bool) -> "QNetwork":
@@ -392,24 +395,22 @@ class QNetwork:
         for p, q in pairs:
             p.values[...] = q.values
 
-    def _head_tail_lstm(self, kind: str, head_tail=None, grad=None) -> list[LstmLayer]:
+    def _head_tail_lstm(self, kind: str) -> list[LstmLayer]:
         """Branch ``kind``'s LSTM as the kernel runs it on head | tail rows:
         layer 0's w_x is the head and tail column blocks of its (4h, 3*d_emb)
-        parameter, copied into ``head_tail`` with the gradient ``grad``.  A
-        snapshot returns the LSTMs it built once; any other network copies
-        into the branch's ``"w_x0"``, with the gradient ``"w_x0.grad"``,
-        which :meth:`backward_batch` zeroes before the kernel accumulates
-        into it and then adds into the parameter's."""
+        parameter, copied into the branch's ``"w_x0"``, with the gradient
+        ``"w_x0.grad"``, which :meth:`backward_batch` zeroes before the
+        kernel accumulates into it and then adds into the parameter's.  A
+        snapshot returns the LSTMs that :meth:`snapshot` built once."""
         if self._fixed_lstm is not None:
             return self._fixed_lstm[kind]
         first, *above = self.branches[kind].lstm
         w_x, d = first.w_x.values, self.d_emb
-        if head_tail is None:
-            work = self._buffers.work[kind]
-            head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
-            grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
+        work = self._buffers.work[kind]
+        head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
         head_tail[:, :d] = w_x[:, :d]
         head_tail[:, d:] = w_x[:, 2 * d:]
+        grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
         return [LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
                 *above]
 

@@ -408,12 +408,8 @@ def test_recomputed_gates_are_the_forward_gates(dtype, widths):
     time loop and gradients have the forward's bits only if these gates
     do.  Layer k's forward gates are the top layer's gate cache of the
     stack's first k + 1 layers.  Both packings have steps of every row
-    count from 1 to 4 beside taller ones, and the tall one's steps of 5 or
-    more rows span several row blocks: the recompute takes their recurrent
-    term from blocks of up to 1,024 rows where the forward ran one GEMM
-    per step, which gives the same bits only if a GEMM's rows do not
-    depend on its height from 5 rows on.  A BLAS that breaks that, or
-    runs a taller path for 4 rows or fewer, fails here."""
+    count from 1 to 4 beside taller ones, and the tall one has more
+    packed rows than one input-projection block."""
     rng = np.random.default_rng(19)
     layers = [LstmLayer.create(rng, a, b, dtype, f"l{i}")
               for i, (a, b) in enumerate(zip(widths, widths[1:]))]

@@ -479,9 +479,8 @@ def test_a_td_step_keeps_only_its_lstm_cache():
     long-term system), every branch workspace array of more than B*4h
     elements is the top layer's gate rows, the lower layer's (N, h)
     hidden rows or the branch's packed codes, and the scratch holds the
-    one rows array that every branch embeds into, at most two arrays of
-    (N, h) rows, and the block of the recomputed recurrent term, at most
-    (N - B) * 4h: no padded embeddings, no packed copy of them, no gate
+    one rows array that every branch embeds into and at most two arrays
+    of (N, h) rows: no padded embeddings, no packed copy of them, no gate
     rows of the lower layer, no cell rows kept beside the gates, and no
     backward array of one row per step."""
     online = _desk_like_net(np.float64)
@@ -504,7 +503,6 @@ def test_a_td_step_keeps_only_its_lstm_cache():
     assert kept == {("gates", 1), ("hid", 0)}
     big = {key: a.size for key, a in buffers.scratch._flat.items() if a.size > B * 4 * h}
     assert "rows" in big
-    assert big.pop("rec", 0) <= (N - B) * 4 * h
     rows = {key: size for key, size in big.items() if key != "rows"}
     assert len(rows) <= 2 and all(size <= N * h for size in rows.values()), rows
 
