@@ -1,17 +1,15 @@
 """Token vocabulary, triple encoding, and the three-branch Q-network.
 
-Each memory entry becomes a triple of token embeddings laid out as
-(head, relation, tail).  There is a single relation, so its slot is
-structurally zero and token 0 is reserved for it; the same zero fills the
-head slot of an empty branch.  Entries are sorted ascending by value
-(timestamp or strength) before encoding, stable so equal values keep
-insertion order.
-
-The zero relation slot never enters a GEMM: the rows hold head | tail
-only, and layer 0 runs on the head and tail column blocks of its
-(4h, 3*d_emb) input weight.  The relation columns stay in the parameter
-list, in checkpoints and in the parameter count; their gradient is
-exactly zero, so Adam leaves them at their initial values.
+Each memory entry is a (head, relation, tail) triple.  There is a single
+relation, so its slot would be structurally zero: the embedded rows hold
+head | tail only, and layer 0's input weight is (4h, 2*d_emb), with no
+relation columns at all.  :meth:`QNetwork.create` draws that weight as
+(4h, 3*d_emb) at fan-in 3*d_emb and drops the relation's columns, so each
+value equals that of a network that kept them.  A semantic entry's head
+is a bare object; its empty owner slot reads the pad, the extra zero row
+that each forward appends to the embedding table.  Entries are sorted
+ascending by value (timestamp or strength) before encoding, stable so
+equal values keep insertion order.
 
 One branch per memory system: encode, two LSTM layers, linear + ReLU.
 The three branch vectors concatenate into a shared head that emits one
@@ -81,7 +79,7 @@ __all__ = [
     "greedy_action",
 ]
 
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 _CKPT_HEADER = "header"   # archive member holding the JSON header
 _CKPT_DTYPES = ("<f4", "<f8")
 
@@ -100,8 +98,10 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Fixed token table: 0 is the relation/pad token, then humans, objects,
-    locations in their canonical orders."""
+    """Fixed token table: humans, objects, locations in their canonical
+    orders, from token 1.  Token 0 is reserved, but no code emits it, so
+    embedding row 0 is inert; it stays, to keep token ids and the init
+    stream."""
 
     humans: tuple[str, ...]
     objects: tuple[str, ...]
@@ -263,9 +263,7 @@ class _Buffers:
     layer hidden rows, the backward's cell and hidden rows) and the
     backward's ``"d_rows"``; arrays of B rows for the forward's ``"z"``,
     ``"c_roll"`` and ``"rec"`` (also the recompute's) and for the
-    backward.  Each branch also keeps layer 0's head | tail input weight
-    ``"w_x0"`` and its gradient ``"w_x0.grad"`` (see
-    :meth:`QNetwork._head_tail_lstm`)."""
+    backward."""
 
     work: dict = field(default_factory=lambda: {k: Workspace() for k in BRANCHES + (_HEAD,)})
     scratch: Workspace = field(default_factory=Workspace)
@@ -278,13 +276,13 @@ def _param_specs(n_tokens: int, d_emb: int, hidden: int,
     order, which is also the order ``create`` draws them in."""
     specs = [("embedding", (n_tokens, d_emb), d_emb)]
     for kind in BRANCHES:
-        d_in = 3 * d_emb
+        d_in, fan_in = 2 * d_emb, 3 * d_emb   # layer 0: head | tail, drawn as triples
         for li in range(n_layers):
             name = f"{kind}.lstm{li}"
-            specs += [(f"{name}.w_x", (4 * hidden, d_in), d_in),
+            specs += [(f"{name}.w_x", (4 * hidden, d_in), fan_in),
                       (f"{name}.w_h", (4 * hidden, hidden), hidden),
                       (f"{name}.b", (4 * hidden,), hidden)]
-            d_in = hidden
+            d_in = fan_in = hidden
         specs += [(f"{kind}.proj.w", (hidden, hidden), hidden),
                   (f"{kind}.proj.b", (hidden,), hidden)]
     cat = hidden * len(BRANCHES)
@@ -321,14 +319,21 @@ class QNetwork:
         self.d_emb = self.embedding.values.shape[1]
         self.hidden = self.head_w2.values.shape[1]
         self._buffers = _Buffers()
-        self._fixed_lstm = None   # a snapshot's head | tail LSTMs, built once
 
     @classmethod
     def create(cls, vocab: Vocabulary, seed: int, d_emb: int = 32,
                hidden: int = 64, n_layers: int = 2, dtype=np.float64) -> "QNetwork":
+        """Parameters drawn in list order.  Layer 0's w_x is drawn with the
+        relation slot's d_emb columns, (4h, 3*d_emb), which it then drops."""
         rng = np.random.default_rng(seed)
-        return cls(vocab, [init_uniform(rng, shape, fan_in, dtype, name) for name, shape, fan_in
-                           in _param_specs(vocab.n_tokens, d_emb, hidden, n_layers)])
+        params = []
+        for name, shape, fan_in in _param_specs(vocab.n_tokens, d_emb, hidden, n_layers):
+            if name.endswith(".lstm0.w_x"):
+                w_x = init_uniform(rng, (shape[0], fan_in), fan_in, dtype, name).values
+                params.append(ParamTensor.of(np.delete(w_x, np.s_[d_emb:2 * d_emb], axis=1), name))
+            else:
+                params.append(init_uniform(rng, shape, fan_in, dtype, name))
+        return cls(vocab, params)
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -355,22 +360,8 @@ class QNetwork:
 
     def snapshot(self) -> "QNetwork":
         """Read-only copies of the parameter arrays, for forwards only: every
-        gradient is a read-only view of one shared zero, and each branch's
-        head | tail LSTM (:meth:`_head_tail_lstm`) is built once, in arrays
-        of the snapshot's own."""
-        snap = self._gradless(writeable=False)
-        d = self.d_emb
-        snap._fixed_lstm = {}
-        for kind, branch in snap.branches.items():
-            first, *above = branch.lstm
-            w_x = first.w_x.values
-            head_tail = np.concatenate([w_x[:, :d], w_x[:, 2 * d:]], axis=1)
-            head_tail.flags.writeable = False
-            grad = np.broadcast_to(w_x.dtype.type(0), head_tail.shape)
-            snap._fixed_lstm[kind] = [
-                LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
-                *above]
-        return snap
+        gradient is a read-only view of one shared zero."""
+        return self._gradless(writeable=False)
 
     def _gradless(self, writeable: bool) -> "QNetwork":
         """Copies of the parameter arrays, read-only unless ``writeable``,
@@ -394,25 +385,6 @@ class QNetwork:
                                  f"expected {p.values.dtype.str} {p.values.shape}")
         for p, q in pairs:
             p.values[...] = q.values
-
-    def _head_tail_lstm(self, kind: str) -> list[LstmLayer]:
-        """Branch ``kind``'s LSTM as the kernel runs it on head | tail rows:
-        layer 0's w_x is the head and tail column blocks of its (4h, 3*d_emb)
-        parameter, copied into the branch's ``"w_x0"``, with the gradient
-        ``"w_x0.grad"``, which :meth:`backward_batch` zeroes before the
-        kernel accumulates into it and then adds into the parameter's.  A
-        snapshot returns the LSTMs that :meth:`snapshot` built once."""
-        if self._fixed_lstm is not None:
-            return self._fixed_lstm[kind]
-        first, *above = self.branches[kind].lstm
-        w_x, d = first.w_x.values, self.d_emb
-        work = self._buffers.work[kind]
-        head_tail = work.take("w_x0", (w_x.shape[0], 2 * d), w_x.dtype)
-        head_tail[:, :d] = w_x[:, :d]
-        head_tail[:, d:] = w_x[:, 2 * d:]
-        grad = work.take("w_x0.grad", head_tail.shape, w_x.dtype)
-        return [LstmLayer(ParamTensor(head_tail, grad, first.w_x.name), first.w_h, first.b),
-                *above]
 
     # -- forward -------------------------------------------------------------
 
@@ -484,12 +456,11 @@ class QNetwork:
         n, h = len(seqs), self.hidden
         codes, pack = _pack_codes(seqs, table.shape[0] - 1, work)
         branch = self.branches[kind]
-        lstm = self._head_tail_lstm(kind)
         # the top layer's gate rows are dead until layer 0's input projection
-        gates = work.take(("gates", len(lstm) - 1), (pack.rows, 4 * h), table.dtype)
+        gates = work.take(("gates", len(branch.lstm) - 1), (pack.rows, 4 * h), table.dtype)
         rows = _embed(table, codes, scratch.take("rows", (pack.rows, 2 * self.d_emb),
                                                  table.dtype), gates)
-        h_last, lstm_caches = lstm_batch_forward(rows, pack, lstm, need_cache=need_cache,
+        h_last, lstm_caches = lstm_batch_forward(rows, pack, branch.lstm, need_cache=need_cache,
                                                  work=work, shared=scratch)
         z, lin_x = linear_forward(h_last, branch.w, branch.b,
                                   out=scratch.take("z", (n, h), table.dtype))
@@ -527,12 +498,7 @@ class QNetwork:
             # again, through "d_rows", which the LSTM backward writes later
             _embed(table, codes, lstm_caches[0].inp,
                    scratch.take("d_rows", (pack.rows, 2 * d), dtype))
-            lstm = self._head_tail_lstm(kind)
-            lstm[0].w_x.grad.fill(0.0)
-            dX = lstm_batch_backward(lstm_caches, lstm, pack, dh_last, work=scratch)
-            w_x, head_tail = branch.lstm[0].w_x.grad, lstm[0].w_x.grad
-            w_x[:, :d] += head_tail[:, :d]
-            w_x[:, 2 * d:] += head_tail[:, d:]
+            dX = lstm_batch_backward(lstm_caches, branch.lstm, pack, dh_last, work=scratch)
             # the top layer's gate rows are dead once the LSTM backward returns
             self.embedding.grad += _embedding_grad(codes, pack, dX, V + 1,
                                                    lstm_caches[-1].gates)[:V]

@@ -303,6 +303,7 @@ def test_greedy_q_decides_on_a_frozen_snapshot(tiny_env):
     assert [a for a, _ in decided] == [greedy_action(q) for q in want]
     np.testing.assert_allclose([q for _, q in decided], want,
                                rtol=0, atol=16 * np.finfo(np.float64).eps)
+    assert np.array_equal(policy.net.forward_states(states), want)
     for p in policy.net.parameters():
         with pytest.raises(ValueError):
             p.values[...] = 0.0
@@ -310,10 +311,10 @@ def test_greedy_q_decides_on_a_frozen_snapshot(tiny_env):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_greedy_q_snapshot_holds_no_gradient_memory(tiny_env, dtype):
-    """The snapshot copies the parameter values and each branch's head |
-    tail layer-0 weight, which its forwards reuse, and nothing else: every
+    """The snapshot copies the parameter values and nothing else: every
     gradient is a zero that refuses writes, backed by no per-parameter
-    array."""
+    array.  Layer 0's w_x is the (4h, 2*d_emb) head | tail parameter
+    itself, which the forwards run on as it is."""
     vocab, _ = build_vocabulary(tiny_env)
     net = QNetwork.create(vocab, seed=5, d_emb=32, hidden=64, dtype=dtype)
     values_bytes = sum(p.values.nbytes for p in net.parameters())
@@ -324,11 +325,9 @@ def test_greedy_q_snapshot_holds_no_gradient_memory(tiny_env, dtype):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    head_tail = [policy.net._head_tail_lstm(kind)[0].w_x for kind in (SHORT_TERM, EPISODIC,
-                                                                      SEMANTIC)]
-    assert all(w.values.shape == (4 * 64, 2 * 32) and not any(w.grad.strides) for w in head_tail)
-    head_tail_bytes = sum(w.values.nbytes for w in head_tail)
-    assert held < 1.1 * values_bytes + head_tail_bytes, (held, values_bytes, head_tail_bytes)
+    for kind in (SHORT_TERM, EPISODIC, SEMANTIC):
+        assert policy.net.branches[kind].lstm[0].w_x.values.shape == (4 * 64, 2 * 32), kind
+    assert held < 1.1 * values_bytes, (held, values_bytes)
     grads = [p.grad for p in policy.net.parameters()]
     for p, want in zip(policy.net.parameters(), net.parameters(), strict=True):
         assert p.name == want.name and np.array_equal(p.values, want.values)

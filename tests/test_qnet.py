@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roommem.configio import load_preset
 from roommem.kb import generate_synthetic_kb
 from roommem.memory import (
     EPISODIC,
@@ -33,8 +32,7 @@ from roommem.qnet import (
     greedy_action,
 )
 from roommem.qnet import _embed, _entry_tokens, _pack_codes
-from roommem.seeding import ROLE_PARAMS, derive_seed
-from roommem.trainer import Transition, build_vocabulary, td_loss, train
+from roommem.trainer import Transition, td_loss
 
 from .oracles import fd_gradient, max_relative_error
 
@@ -175,9 +173,10 @@ def embed_rows(vocab, net, kind, entries):
 
 def test_kge_rows_zero_relation_slot(vocab, net):
     """The rows are the (head, relation, tail) triples without their zero
-    relation slot, and layer 0 runs on them with the head and tail column
-    blocks of its w_x: the projection of the full triples."""
-    d = 4
+    relation slot, and layer 0's w_x, which has head and tail columns only,
+    projects them as a weight with zero relation columns projects the full
+    triples."""
+    d, h = 4, 6
     entries = [epi("Ann", "bowl", "desk", 1), epi("Bob", "mug", "lap", 3)]
     X = embed_rows(vocab, net, EPISODIC, entries)
     assert X.shape == (2, 2 * d)
@@ -188,9 +187,9 @@ def test_kge_rows_zero_relation_slot(vocab, net):
     assert np.all(triples[:, d:2 * d] == 0.0)
     assert np.allclose(triples[0, 2 * d:], emb[vocab.token("desk")])
     w_x = net.branches[EPISODIC].lstm[0].w_x.values
-    head_tail = net._head_tail_lstm(EPISODIC)[0].w_x.values
-    assert np.array_equal(head_tail, np.delete(w_x, np.s_[d:2 * d], axis=1))
-    assert np.allclose(X @ head_tail.T, triples @ w_x.T, rtol=0, atol=1e-15)
+    assert w_x.shape == (4 * h, 2 * d)
+    full = np.hstack([w_x[:, :d], np.zeros((4 * h, d)), w_x[:, d:]])
+    assert np.allclose(X @ w_x.T, triples @ full.T, rtol=0, atol=1e-15)
 
 
 def test_kge_semantic_head_is_bare_object(vocab, net):
@@ -531,33 +530,18 @@ def test_warm_cached_pass_makes_no_row_sized_temporary():
     assert max(peaks[1:]) < N * net.d_emb * 8, (peaks, N)
 
 
-def test_layer0_relation_columns_are_inert():
-    """The relation slot of every triple is zero, so layer 0's relation
-    columns of w_x get an exactly zero gradient, and Adam leaves them at
-    their initial values: that is what lets the kernel skip them."""
-    cfg = load_preset("desk.env")
-    env = dataclasses.replace(cfg.env, episode_length=16)
-    tc = dataclasses.replace(cfg.train, epochs=2, batch_size=32, replay_size=64, warm_start=64,
-                             eval_iterations=1)
-    result = train(env, "scratch", (16, 16), tc, seed=4)
-    vocab, _ = build_vocabulary(env)
-    initial = QNetwork.create(vocab, derive_seed(4, ROLE_PARAMS), d_emb=tc.d_emb,
-                              hidden=tc.hidden, n_layers=tc.n_layers, dtype=tc.dtype)
-    d = tc.d_emb
-    for kind in BRANCHES:
-        trained = result.net.branches[kind].lstm[0].w_x.values
-        start = initial.branches[kind].lstm[0].w_x.values
-        assert np.array_equal(trained[:, d:2 * d], start[:, d:2 * d]), kind
-        assert not np.array_equal(trained[:, :d], start[:, :d]), kind
-
+def test_layer0_has_no_inert_relation_columns():
+    """Layer 0's w_x has head and tail columns only, none for the zero
+    relation slot: after one desk-like backward every one of its columns
+    has a nonzero gradient."""
     net = _desk_like_net(np.float64)
     batch = _desk_like_batch(net.vocab, np.random.default_rng(4), 64)
     q, cache = net.forward_batch([t.enc_state for t in batch], need_cache=True)
     net.backward_batch(cache, np.random.default_rng(5).normal(size=q.shape))
     for kind in BRANCHES:
         grad = net.branches[kind].lstm[0].w_x.grad
-        assert np.all(grad[:, net.d_emb:2 * net.d_emb] == 0.0), kind
-        assert np.count_nonzero(np.delete(grad, np.s_[net.d_emb:2 * net.d_emb], axis=1)), kind
+        assert grad.shape == (4 * net.hidden, 2 * net.d_emb), kind
+        assert np.all(np.any(grad != 0.0, axis=0)), kind
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -665,7 +649,7 @@ def test_full_network_gradient_fd(vocab, net):
 
 def test_parameter_count_at_paper_dimensions():
     """109-token vocabulary, 32-dim embeddings, three 2-layer LSTM branches
-    of width 64: the full network carries 251,235 trainable floats."""
+    of width 64: the full network carries 226,659 trainable floats."""
     kb = generate_synthetic_kb(13, 16, 28)
     humans = tuple(f"H{i}" for i in range(64))
     vocab = Vocabulary(humans, kb.objects, kb.locations)
@@ -673,9 +657,9 @@ def test_parameter_count_at_paper_dimensions():
     net = QNetwork.create(vocab, seed=0, d_emb=32, hidden=64, n_layers=2,
                           dtype=np.float64)
     n = net.n_parameters()
-    assert n == 251_235
+    assert n == 226_659
     # embedding + 3 * (two LSTM layers + projection) + two head layers
-    lstm1 = 4 * 64 * (96 + 64) + 4 * 64
+    lstm1 = 4 * 64 * (64 + 64) + 4 * 64   # layer 0 reads head | tail, 2 * 32 wide
     lstm2 = 4 * 64 * (64 + 64) + 4 * 64
     branch = lstm1 + lstm2 + 64 * 64 + 64
     assert n == 109 * 32 + 3 * branch + (192 * 64 + 64) + (64 * 3 + 3)
@@ -698,32 +682,6 @@ def test_clone_and_copy_values(vocab, net):
     assert np.allclose(other.forward(st), net.forward(st))
 
 
-def test_a_snapshot_builds_its_head_tail_lstm_once(vocab, net):
-    """A snapshot's weights never change, so it builds each branch's head |
-    tail layer-0 weight once, read-only and in an array of its own, and
-    its forwards reuse it: they copy nothing into the family's ``"w_x0"``,
-    and give the network's Q-values bit for bit, also after a forward of
-    the network rewrote ``"w_x0"``."""
-    states = [state_of(short=[epi("Ann", "bowl", "desk", 0)],
-                       episodic=[epi("Bob", "mug", "lap", 1), epi("Cam", "bowl", "bed", 3)],
-                       semantic=[sem("bowl", "desk", 2), sem("mug", "lap", 4)]),
-              state_of(episodic=[epi("Ann", "mug", "bed", 2)])]
-    snap = net.snapshot()
-    built = {kind: snap._head_tail_lstm(kind) for kind in BRANCHES}
-    q = snap.forward_states(states)
-    d = net.d_emb
-    for kind in BRANCHES:
-        assert "w_x0" not in net._buffers.work[kind]._flat, kind
-        lstm = snap._head_tail_lstm(kind)
-        assert lstm is built[kind]
-        w_x = snap.branches[kind].lstm[0].w_x.values
-        assert np.array_equal(lstm[0].w_x.values, np.delete(w_x, np.s_[d:2 * d], axis=1))
-        assert not lstm[0].w_x.values.flags.writeable
-        assert lstm[1:] == snap.branches[kind].lstm[1:]
-    assert np.array_equal(q, net.forward_states(states))
-    assert np.array_equal(snap.forward_states(states), q)
-
-
 def test_copy_values_from_rejects_a_dtype_mismatch(vocab):
     """Cast to float32, 1e300 would become inf."""
     wide = QNetwork.create(vocab, seed=11, d_emb=4, hidden=6, dtype=np.float64)
@@ -738,13 +696,20 @@ def test_copy_values_from_rejects_a_dtype_mismatch(vocab):
 
 def _drawn_in_order(vocab, seed, d_emb, hidden, n_layers, dtype):
     """The parameters as create draws them: embedding; per branch each
-    LSTM layer, then its projection; then the head."""
+    LSTM layer, then its projection; then the head.  Layer 0 is drawn on
+    (head, relation, tail) triples, and its w_x then drops the relation's
+    columns."""
     rng = np.random.default_rng(seed)
     out = [init_uniform(rng, (vocab.n_tokens, d_emb), d_emb, dtype, "embedding")]
     for kind in (SHORT_TERM, EPISODIC, SEMANTIC):
         d_in = 3 * d_emb
         for li in range(n_layers):
-            out += LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}").parameters()
+            layer = LstmLayer.create(rng, d_in, hidden, dtype, f"{kind}.lstm{li}")
+            if li == 0:
+                relation = np.s_[d_emb:2 * d_emb]
+                layer.w_x = ParamTensor.of(np.delete(layer.w_x.values, relation, axis=1),
+                                           layer.w_x.name)
+            out += layer.parameters()
             d_in = hidden
         out.append(init_uniform(rng, (hidden, hidden), hidden, dtype, f"{kind}.proj.w"))
         out.append(init_uniform(rng, (hidden,), hidden, dtype, f"{kind}.proj.b"))
@@ -851,6 +816,7 @@ def _set_header(arrays, **changes):
 
 @pytest.mark.parametrize("edit", [
     lambda a: _set_header(a, version=1),
+    lambda a: _set_header(a, version=2),
     lambda a: _set_header(a, dtype="|O"),
     lambda a: _set_header(a, hidden=0),
     lambda a: _set_header(a, vocab=[["Ann"], [1], []]),
@@ -862,8 +828,8 @@ def _set_header(arrays, **changes):
     lambda a: a["head1.w"].__setitem__((0, 0), np.inf),
     lambda a: a["head1.b"].__setitem__(1, np.nan),
     lambda a: a.update({"rogue.w": np.zeros(3)}),
-], ids=["version", "dtype", "shape", "vocab", "json", "missing", "tensor_shape", "object",
-        "tensor_dtype", "inf", "nan", "extra"])
+], ids=["version", "parent_version", "dtype", "shape", "vocab", "json", "missing",
+        "tensor_shape", "object", "tensor_dtype", "inf", "nan", "extra"])
 def test_load_rejects_malformed_header_or_tensor(tmp_path, net, edit):
     path = tmp_path / "net.ckpt"
     net.save(path)
